@@ -6,10 +6,14 @@ and the positive class carries prior weight p.  Everything downstream
 (threshold selection, prevalence estimation) reduces to closed forms
 collected here:
 
-* the mixture distribution function and its numerical inverse,
+* the mixture distribution function and its inverse,
 * the positive-class posterior, which is logistic in the score,
 * the class-density likelihood ratio, increasing in the score,
 * the true/false positive rates of cut-point classifiers.
+
+Only the separation d = (nu - mu) / sigma and the prior p matter, so
+formulas are evaluated on z = (x - mu) / sigma and mapped back with
+x = mu + sigma * z, which keeps them accurate at any scale and offset.
 
 All functions are pure and the carrier types are immutable.
 ``std_normal_cdf``, ``std_normal_quantile``, ``mixture_cdf`` and
@@ -38,17 +42,18 @@ __all__ = [
     "classifier_rates",
 ]
 
-_SQRT2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # exp() overflows past ~709.8; clamping at +-700 keeps results finite and
 # strictly inside (0, 1) / (0, inf) at the extremes.
 _EXP_CLAMP = 700.0
 
-# Phi(-40) underflows double precision, so [-40, 40] brackets the standard
-# normal quantile for every representable u in (0, 1).
-_STD_NORMAL_BRACKET = 40.0
-
-_MAX_BISECT_STEPS = 200
+# Mixture quantile: stop once a Newton step moves z by at most _NEWTON_TOL
+# relative to 1 + |z| (leaving about its square) or the bracket is a few ulp
+# wide.  The cap binds only where F is flat to rounding and any z will do.
+_NEWTON_TOL = 1e-12
+_ULPS = 4.0 * np.finfo(float).eps
+_MAX_NEWTON_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -85,6 +90,19 @@ class BinormalModel:
             )
         if not (0.0 < self.p < 1.0):
             raise ValueError(f"positive prior must lie in (0, 1), got {self.p!r}")
+
+    @property
+    def d(self) -> float:
+        """Separation of the component means in units of sigma, (nu - mu) / sigma."""
+        return (self.nu - self.mu) / self.sigma
+
+    def z_score(self, x):
+        """Standardized score (x - mu) / sigma; the negative class is N(0, 1) in it."""
+        return (x - self.mu) / self.sigma
+
+    def score(self, z):
+        """Inverse of ``z_score``: mu + sigma * z."""
+        return self.mu + self.sigma * z
 
 
 @dataclass(frozen=True)
@@ -123,147 +141,126 @@ class Rates:
         return 1.0 - self.tpr
 
 
+def _check_levels(u) -> np.ndarray:
+    arr = np.asarray(u, dtype=float)
+    if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0)):
+        raise ValueError("probability level must lie strictly inside (0, 1)")
+    return arr
+
+
 def std_normal_cdf(x):
-    """Standard normal distribution function Phi.
-
-    Evaluated through the complementary error function,
-    Phi(x) = erfc(-x / sqrt(2)) / 2, which is accurate to a few ulp over
-    the whole real line.  Accepts a float or an ndarray.
-    """
-    arr = np.asarray(x, dtype=float)
-    out = 0.5 * special.erfc(-arr / _SQRT2)
+    """Standard normal distribution function Phi, ``scipy.special.ndtr``; a float or an ndarray."""
+    out = special.ndtr(np.asarray(x, dtype=float))
     return out if np.ndim(x) else float(out)
-
-
-def _bisect_cdf(cdf, target: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Invert a nondecreasing distribution function by interval halving.
-
-    Requires cdf(lo) <= target <= cdf(hi) elementwise.  Deterministic and
-    derivative-free; runs until the brackets are at float resolution.
-    """
-    for _ in range(_MAX_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        below = cdf(mid) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if float(np.max(hi - lo)) <= 1e-14:
-            break
-    return 0.5 * (lo + hi)
 
 
 def std_normal_quantile(u):
     """Inverse of ``std_normal_cdf`` on (0, 1).
 
-    Bracketed bisection on the distribution function; the result x
-    satisfies |Phi(x) - u| <= 1e-10 (in practice far tighter).  Accepts a
-    float or an ndarray.
+    ``scipy.special.ndtri``, accurate to a few ulp; levels outside (0, 1)
+    raise ``ValueError``.  Accepts a float or an ndarray.
     """
-    arr = np.asarray(u, dtype=float)
-    if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0)):
-        raise ValueError("probability level must lie strictly inside (0, 1)")
-    lo = np.full(arr.shape, -_STD_NORMAL_BRACKET)
-    hi = np.full(arr.shape, _STD_NORMAL_BRACKET)
-    out = _bisect_cdf(std_normal_cdf, arr, lo, hi)
+    out = special.ndtri(_check_levels(u))
     return out if np.ndim(u) else float(out)
+
+
+def _upper_mass(model: BinormalModel, z):
+    """Mass above the z-score z, p Phi(d - z) + (1 - p) Phi(-z), to full relative accuracy."""
+    return model.p * special.ndtr(model.d - z) + (1.0 - model.p) * special.ndtr(-z)
+
+
+def _z_at_mass(d: float, pos: float, neg: float, u: np.ndarray) -> np.ndarray:
+    """Solve F(z) = pos * Phi(z - d) + neg * Phi(z) = u for z, elementwise.
+
+    Newton steps on log F(z) - log u inside the exact bracket
+    [ndtri(u), ndtri(u) + d] from Phi(z - d) <= F(z) <= Phi(z); a step that
+    would leave the bracket bisects it instead.  Levels above 1/2 are solved
+    in survival form, which in w = d - z is the same equation against 1 - u
+    with the weights swapped, so the upper tail keeps its accuracy.
+    """
+    upper = u > 0.5
+    pos, neg = np.where(upper, neg, pos), np.where(upper, pos, neg)
+    u = np.where(upper, 1.0 - u, u)
+    z = lo = special.ndtri(u)
+    hi = lo + d
+    log_u = np.log(u)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_MAX_NEWTON_STEPS):
+            cdf = pos * special.ndtr(z - d) + neg * special.ndtr(z)
+            pdf = (pos * np.exp(-0.5 * (z - d) ** 2) + neg * np.exp(-0.5 * z * z)) / _SQRT_2PI
+            gap = np.log(cdf) - log_u
+            lo = np.where(gap < 0.0, z, lo)
+            hi = np.where(gap > 0.0, z, hi)
+            newton = z - gap * cdf / pdf
+            inside = (newton >= lo) & (newton <= hi)
+            scale = 1.0 + np.abs(z)
+            done = np.where(
+                inside, np.abs(newton - z) <= _NEWTON_TOL * scale, hi - lo <= _ULPS * scale
+            )
+            z = np.where(inside, newton, 0.5 * (lo + hi))
+            if np.all(done):
+                break
+    return np.where(upper, d - z, z)
+
+
+def _z_at_upper_mass(model: BinormalModel, v):
+    """The z-score of the cut-point flagging mass v, solved without forming 1 - v."""
+    d = model.d
+    return d - _z_at_mass(d, 1.0 - model.p, model.p, np.asarray(v, dtype=float))
 
 
 def mixture_cdf(model: BinormalModel, x):
     """Distribution function of the score mixture, P[X <= x].
 
-    Weighted combination of the two component distribution functions,
-    p * Phi((x - nu) / sigma) + (1 - p) * Phi((x - mu) / sigma).
-    Accepts a float or an ndarray.
+    p * Phi(z - d) + (1 - p) * Phi(z) at z = (x - mu) / sigma.  Accepts a
+    float or an ndarray.
     """
-    arr = np.asarray(x, dtype=float)
-    pos = std_normal_cdf((arr - model.nu) / model.sigma)
-    neg = std_normal_cdf((arr - model.mu) / model.sigma)
-    out = model.p * pos + (1.0 - model.p) * neg
+    z = model.z_score(np.asarray(x, dtype=float))
+    out = model.p * special.ndtr(z - model.d) + (1.0 - model.p) * special.ndtr(z)
     return out if np.ndim(x) else float(out)
 
 
 def mixture_quantile(model: BinormalModel, u):
-    """Inverse of ``mixture_cdf`` on (0, 1).
+    """Inverse of ``mixture_cdf`` on (0, 1), by safeguarded Newton steps in z.
 
-    Starts from the bracket [min(mu, nu) - 10 sigma, max(mu, nu) + 10 sigma],
-    which already covers all probability levels further than 1e-20 from the
-    endpoints, widens it geometrically in the rare case the requested level
-    falls outside, then bisects.  The result x satisfies
-    |mixture_cdf(x) - u| <= 1e-10.  Accepts a float or an ndarray.
+    The result x satisfies |mixture_cdf(x) - u| <= 1e-10, in practice a few
+    ulp in either tail.  Accepts a float or an ndarray.
     """
-    arr = np.asarray(u, dtype=float)
-    if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0)):
-        raise ValueError("probability level must lie strictly inside (0, 1)")
-
-    lo = np.full(arr.shape, min(model.mu, model.nu) - 10.0 * model.sigma)
-    hi = np.full(arr.shape, max(model.mu, model.nu) + 10.0 * model.sigma)
-
-    step = 10.0 * model.sigma
-    for _ in range(_MAX_BISECT_STEPS):
-        short = mixture_cdf(model, lo) > arr
-        if not np.any(short):
-            break
-        lo = np.where(short, lo - step, lo)
-        step *= 2.0
-    step = 10.0 * model.sigma
-    for _ in range(_MAX_BISECT_STEPS):
-        short = mixture_cdf(model, hi) < arr
-        if not np.any(short):
-            break
-        hi = np.where(short, hi + step, hi)
-        step *= 2.0
-
-    out = _bisect_cdf(lambda x: mixture_cdf(model, x), arr, lo, hi)
+    out = model.score(_z_at_mass(model.d, model.p, 1.0 - model.p, _check_levels(u)))
     return out if np.ndim(u) else float(out)
-
-
-def _posterior_coefficients(model: BinormalModel) -> tuple[float, float]:
-    """Slope and intercept of the posterior log-odds-against, in the score."""
-    slope = (model.mu - model.nu) / model.sigma**2
-    intercept = (model.nu**2 - model.mu**2) / (2.0 * model.sigma**2) + math.log(
-        (1.0 - model.p) / model.p
-    )
-    return slope, intercept
-
-
-def posterior(model: BinormalModel, x: float) -> float:
-    """Positive-class posterior probability at score x.
-
-    Logistic in the score: 1 / (1 + exp(slope * x + intercept)) with
-    slope = (mu - nu) / sigma^2 and
-    intercept = (nu^2 - mu^2) / (2 sigma^2) + log((1 - p) / p).
-    Strictly increasing, with limits 0 and 1 at -inf and +inf.
-    """
-    slope, intercept = _posterior_coefficients(model)
-    z = slope * x + intercept
-    z = min(max(z, -_EXP_CLAMP), _EXP_CLAMP)
-    return 1.0 / (1.0 + math.exp(z))
-
-
-def _score_at_posterior(model: BinormalModel, q: float) -> float:
-    """Inverse of ``posterior``: the score at which the posterior equals q in (0, 1)."""
-    slope, intercept = _posterior_coefficients(model)
-    return (math.log((1.0 - q) / q) - intercept) / slope
 
 
 def likelihood_ratio(model: BinormalModel, x: float) -> float:
     """Positive-to-negative class density ratio at score x.
 
-    exp((x (nu - mu) - (nu^2 - mu^2) / 2) / sigma^2); strictly increasing
-    and equal to 1 at the component-mean midpoint (nu + mu) / 2.
+    exp(d (z - d / 2)) with z = (x - mu) / sigma; strictly increasing and
+    equal to 1 at the component-mean midpoint (nu + mu) / 2.
     """
-    z = (x * (model.nu - model.mu) - (model.nu**2 - model.mu**2) / 2.0) / model.sigma**2
-    z = min(max(z, -_EXP_CLAMP), _EXP_CLAMP)
-    return math.exp(z)
+    log_ratio = model.d * (model.z_score(x) - 0.5 * model.d)
+    return math.exp(min(max(log_ratio, -_EXP_CLAMP), _EXP_CLAMP))
+
+
+def posterior(model: BinormalModel, x: float) -> float:
+    """Positive-class posterior probability at score x.
+
+    p lam / (p lam + 1 - p) with lam the likelihood ratio, which is logistic
+    in the score.  Strictly increasing, with limits 0 and 1 at -inf and +inf.
+    """
+    weighted = model.p * likelihood_ratio(model, x)
+    return weighted / (weighted + 1.0 - model.p)
+
+
+def _score_at_posterior(model: BinormalModel, q: float) -> float:
+    """Score at which the posterior equals q in (0, 1): z = d / 2 + (logit q - logit p) / d."""
+    logit_gap = math.log(q * (1.0 - model.p) / ((1.0 - q) * model.p))
+    return model.score(0.5 * model.d + logit_gap / model.d)
 
 
 def classifier_rates(model: BinormalModel, classifier: ThresholdClassifier) -> Rates:
     """Exact error-rate pair of a cut-point classifier under the model.
 
-    tpr = 1 - Phi((t - nu) / sigma) and fpr = 1 - Phi((t - mu) / sigma);
-    both decrease in the threshold and tpr > fpr at every finite threshold
-    because nu > mu.
+    tpr = Phi(d - z) and fpr = Phi(-z) at z = (t - mu) / sigma; both
+    decrease in the threshold and tpr > fpr because d > 0.
     """
-    t = classifier.threshold
-    tpr = 1.0 - float(std_normal_cdf((t - model.nu) / model.sigma))
-    fpr = 1.0 - float(std_normal_cdf((t - model.mu) / model.sigma))
-    return Rates(tpr=tpr, fpr=fpr)
+    z = model.z_score(classifier.threshold)
+    return Rates(tpr=float(special.ndtr(model.d - z)), fpr=float(special.ndtr(-z)))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binormal import BinormalModel, ThresholdClassifier, classifier_rates, mixture_cdf
+from .binormal import BinormalModel, ThresholdClassifier, classifier_rates
 from .discrete_oracle import (
     MAX_ATOMS,
     brute_force_fbeta_max,
@@ -32,16 +32,14 @@ from .discrete_oracle import (
     thresholded_fbeta_sup,
 )
 from .empirical import (
-    CsvFormatError,
     estimate_rates,
     fit_binormal,
     quantify_sample,
     read_labeled_csv,
     read_score_csv,
 )
-from .metrics import CostParams, NasVariant, QConfig, prediction_error
+from .metrics import CostParams, NasVariant, QConfig, prediction_error, shifted_prevalence
 from .quantifiers import (
-    DegenerateClassifierError,
     bayes_classifier,
     f_optimal_classifier,
     locally_best_classifier,
@@ -204,7 +202,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         1.0 - model.p
     ) * bayes_rates.fpr
     rows.append((
-        "bayes", bayes.threshold, 1.0 - mixture_cdf(model, bayes.threshold),
+        "bayes", bayes.threshold, shifted_prevalence(bayes_rates, model.p),
         bayes_rates.tpr, bayes_rates.fpr, bayes_cost,
     ))
     for name, opt in (("minimax", minimax_classifier(model)),
@@ -309,7 +307,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     for trial in range(args.trials):
         n_atoms = int(rng.integers(2, args.max_atoms + 1))
         for tied in (False, True):
-            population = random_population(rng, n_atoms, tied=tied)
+            try:
+                population = random_population(rng, n_atoms, tied=tied)
+            except RuntimeError as exc:  # the draw gave up on separating posteriors
+                raise ValueError(f"trial {trial}: {exc}") from exc
             kind = "tied" if tied else "distinct"
             for beta in betas:
                 _, brute = brute_force_fbeta_max(population, beta)
@@ -410,13 +411,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except CsvFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except DegenerateClassifierError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
+    except ValueError as exc:  # includes CsvFormatError and DegenerateClassifierError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -3,10 +3,10 @@ file-based prevalence estimation.
 
 Sampling is reproducible from the seed alone.  The generator is numpy's
 PCG64 (see ``RNG_ALGORITHM``); each record consumes one uniform draw for
-the class label and one for the score, and scores are produced by the
-standard-normal inverse distribution function applied to the second
-stream.  A reimplementation that matches the uniform stream therefore
-matches the samples bit for bit.
+the class label and one for the score, and scores are
+``where(positive, nu, mu) + sigma * scipy.special.ndtri(u)`` over the
+second stream.  A reimplementation that matches the uniform stream
+therefore matches the samples bit for bit.
 
 CSV formats, both with UTF-8 text, LF line endings and plain decimal
 numbers:
@@ -47,7 +47,7 @@ __all__ = [
     "write_score_csv",
 ]
 
-RNG_ALGORITHM = "numpy-pcg64, inverse-cdf scores"
+RNG_ALGORITHM = "numpy-pcg64, ndtri inverse-cdf scores"
 
 POSITIVE_LABEL = 1
 NEGATIVE_LABEL = -1

@@ -19,7 +19,8 @@ the mass a fixed classifier will flag, and ``adjusted_count`` inverts
 that affine map to recover the prior from an observed flagged mass.
 
 Everything is deterministic; the scalar maximizations use a fixed-width
-grid scan followed by golden-section refinement.
+grid scan over the predicted-positive mass, inverted to z-scores once,
+followed by golden-section refinement in z.
 """
 
 from __future__ import annotations
@@ -34,12 +35,12 @@ from .binormal import (
     Rates,
     ThresholdClassifier,
     _score_at_posterior,
+    _upper_mass,
+    _z_at_upper_mass,
     classifier_rates,
-    mixture_cdf,
-    mixture_quantile,
     std_normal_cdf,
 )
-from .metrics import CostParams, NasVariant, QConfig, nas, nas_star
+from .metrics import CostParams, NasVariant, QConfig, nas, nas_star, shifted_prevalence
 
 __all__ = [
     "DegenerateCostError",
@@ -59,7 +60,8 @@ __all__ = [
 ]
 
 # Scalar maximization scheme: grid scan at this resolution to locate the
-# basin, then golden-section refinement down to the interval width below.
+# basin, then golden-section refinement until the bracket spans at most the
+# predicted-positive mass below.
 _SCAN_POINTS = 512
 _REFINE_WIDTH = 1e-8
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -160,21 +162,18 @@ def threshold_for_positive_mass(model: BinormalModel, u: float) -> ThresholdClas
     """The cut-point whose predicted-positive mass is u, for u in (0, 1)."""
     if not (0.0 < u < 1.0):
         raise ValueError(f"predicted-positive mass must lie in (0, 1), got {u!r}")
-    return ThresholdClassifier(float(mixture_quantile(model, 1.0 - u)))
-
-
-def _positive_mass(model: BinormalModel, classifier: ThresholdClassifier) -> float:
-    return 1.0 - float(mixture_cdf(model, classifier.threshold))
+    return ThresholdClassifier(float(model.score(_z_at_upper_mass(model, u))))
 
 
 def _optimized(
     model: BinormalModel, classifier: ThresholdClassifier, objective_value: float
 ) -> OptimizedClassifier:
+    rates = classifier_rates(model, classifier)
     return OptimizedClassifier(
         classifier=classifier,
-        u_star=_positive_mass(model, classifier),
+        u_star=shifted_prevalence(rates, model.p),
         objective_value=objective_value,
-        rates=classifier_rates(model, classifier),
+        rates=rates,
     )
 
 
@@ -204,16 +203,28 @@ def locally_best_classifier(model: BinormalModel) -> OptimizedClassifier:
     return _optimized(model, classifier, max(rates.fpr, rates.fnr))
 
 
-def q_measure_of_mass(model: BinormalModel, u, beta: float, nas_variant: NasVariant = NasVariant.NAS_STAR):
-    """Q measure of the cut-point with predicted-positive mass u.
-
-    Recall is 1 - Phi((t(u) - nu) / sigma) with t(u) the mass-u cut-point;
-    the calibration score is the chosen normalized absolute score of u
-    against the prior.  Defined as 0 at u = 0 and u = 1, the limits of the
-    measure at the constant classifiers.  Vectorizes over ``u``.
-    """
+def _check_beta(beta: float) -> float:
+    """beta^2 for a valid measure weight beta."""
     if not (math.isfinite(beta) and beta > 0.0):
         raise ValueError(f"beta must be positive, got {beta!r}")
+    return beta * beta
+
+
+def _q_value(model: BinormalModel, tpr, u, b2: float, nas_variant: NasVariant):
+    """Q measure from recall and predicted-positive mass; 0 where both terms vanish."""
+    nas_vals = nas_star(u, model.p) if nas_variant is NasVariant.NAS_STAR else nas(u, model.p)
+    denom = b2 * tpr + nas_vals
+    safe = denom > 0.0
+    return np.where(safe, (1.0 + b2) * tpr * nas_vals / np.where(safe, denom, 1.0), 0.0)
+
+
+def _f_value(model: BinormalModel, tpr, u, b2: float):
+    """F measure from recall and predicted-positive mass."""
+    return (1.0 + b2) * model.p * tpr / (b2 * model.p + u)
+
+
+def _measure_of_mass(model: BinormalModel, u, value, at_full: float):
+    """Evaluate ``value(tpr, u)`` at the mass-u cut-points; 0 at u = 0, ``at_full`` at u = 1."""
     scalar = np.ndim(u) == 0
     arr = np.atleast_1d(np.asarray(u, dtype=float))
     if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0)):
@@ -223,50 +234,42 @@ def q_measure_of_mass(model: BinormalModel, u, beta: float, nas_variant: NasVari
     interior = (arr > 0.0) & (arr < 1.0)
     if np.any(interior):
         ui = arr[interior]
-        thresholds = mixture_quantile(model, 1.0 - ui)
-        tpr = 1.0 - std_normal_cdf((thresholds - model.nu) / model.sigma)
-        if nas_variant is NasVariant.NAS_STAR:
-            nas_vals = nas_star(ui, model.p)
-        else:
-            nas_vals = nas(ui, model.p)
-        b2 = beta * beta
-        denom = b2 * tpr + nas_vals
-        safe = denom > 0.0
-        vals = np.where(safe, (1.0 + b2) * tpr * nas_vals / np.where(safe, denom, 1.0), 0.0)
-        out[interior] = vals
+        tpr = std_normal_cdf(model.d - _z_at_upper_mass(model, ui))
+        out[interior] = value(tpr, ui)
+    out[arr >= 1.0] = at_full
     return float(out[0]) if scalar else out
+
+
+def q_measure_of_mass(model: BinormalModel, u, beta: float, nas_variant: NasVariant = NasVariant.NAS_STAR):
+    """Q measure of the cut-point with predicted-positive mass u.
+
+    Recall is Phi(d - z(u)) with z(u) the z-score of the mass-u cut-point;
+    the calibration score is the chosen normalized absolute score of u
+    against the prior.  Defined as 0 at u = 0 and u = 1, the limits of the
+    measure at the constant classifiers.  Vectorizes over ``u``.
+    """
+    b2 = _check_beta(beta)
+    return _measure_of_mass(
+        model, u, lambda tpr, ui: _q_value(model, tpr, ui, b2, nas_variant), 0.0
+    )
 
 
 def f_measure_of_mass(model: BinormalModel, u, beta: float):
     """F measure of the cut-point with predicted-positive mass u.
 
-    The true-positive cell is p * (1 - Phi((t(u) - nu) / sigma)), so the
-    measure is (1 + beta^2) p tpr / (beta^2 p + u).  Defined as 0 at u = 0
-    (nothing predicted positive); at u = 1 it equals the all-positive
-    classifier's value.  Vectorizes over ``u``.
+    The true-positive cell is p * Phi(d - z(u)), so the measure is
+    (1 + beta^2) p tpr / (beta^2 p + u).  Defined as 0 at u = 0 (nothing
+    predicted positive); at u = 1 it equals the all-positive classifier's
+    value.  Vectorizes over ``u``.
     """
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise ValueError(f"beta must be positive, got {beta!r}")
-    scalar = np.ndim(u) == 0
-    arr = np.atleast_1d(np.asarray(u, dtype=float))
-    if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0)):
-        raise ValueError("predicted-positive mass must lie in [0, 1]")
-
-    b2 = beta * beta
-    out = np.zeros(arr.shape)
-    interior = (arr > 0.0) & (arr < 1.0)
-    if np.any(interior):
-        ui = arr[interior]
-        thresholds = mixture_quantile(model, 1.0 - ui)
-        tpr = 1.0 - std_normal_cdf((thresholds - model.nu) / model.sigma)
-        out[interior] = (1.0 + b2) * model.p * tpr / (b2 * model.p + ui)
-    full = arr >= 1.0
-    out[full] = (1.0 + b2) * model.p / (b2 * model.p + 1.0)
-    return float(out[0]) if scalar else out
+    b2 = _check_beta(beta)
+    return _measure_of_mass(
+        model, u, lambda tpr, ui: _f_value(model, tpr, ui, b2), _f_value(model, 1.0, 1.0, b2)
+    )
 
 
-def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section maximization on [lo, hi], refined to width 1e-8.
+def _golden_max(f, lo: float, hi: float, width) -> tuple[float, float]:
+    """Golden-section maximization on [lo, hi] until ``width(a, b)`` <= 1e-8.
 
     On ties the left subinterval is kept, so among equal maxima the
     smallest abscissa wins.
@@ -275,7 +278,7 @@ def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > _REFINE_WIDTH:
+    while width(a, b) > _REFINE_WIDTH:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INV_GOLDEN * (b - a)
@@ -288,31 +291,39 @@ def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
     return x, f(x)
 
 
-def _maximize_mass_objective(
-    vec_objective, lo: float, hi: float, extra_candidates: tuple[float, ...] = ()
-) -> tuple[float, float]:
-    """Maximize a predicted-positive-mass objective over [lo, hi].
+def _maximize_over_mass(
+    model: BinormalModel, value, lo: float, hi: float, extra_masses: tuple[float, ...] = ()
+) -> tuple[ThresholdClassifier, float]:
+    """Maximize ``value(tpr, u)`` over cut-points with mass u in [lo, hi].
 
-    Grid scan to locate the basin, golden-section refinement inside the
-    bracketing cell, then an explicit comparison against the listed extra
-    candidate points.  Deterministic; among equal objective values the
-    smallest mass wins.
+    A grid scan over u, inverted to z-scores once, locates the basin.
+    Golden-section refinement inside the bracketing cell then runs over
+    s = -z, which increases with the mass, and evaluates masses and
+    recalls in closed form; it stops once the bracket spans at most 1e-8
+    of mass.  The listed extra masses are compared explicitly.
+    Deterministic; among equal values the smallest mass wins.
     """
-    grid = np.linspace(lo, hi, _SCAN_POINTS)
-    values = vec_objective(grid)
+    d = model.d
+
+    def objective(z):
+        return value(std_normal_cdf(d - z), _upper_mass(model, z))
+
+    grid_z = _z_at_upper_mass(model, np.linspace(lo, hi, _SCAN_POINTS))
+    values = objective(grid_z)
     i = int(np.argmax(values))
-
-    def f(x: float) -> float:
-        return float(vec_objective(np.asarray(x, dtype=float)))
-
-    bracket_lo = float(grid[max(i - 1, 0)])
-    bracket_hi = float(grid[min(i + 1, len(grid) - 1)])
-    refined = _golden_max(f, bracket_lo, bracket_hi)
-
-    candidates = [(float(grid[i]), float(values[i])), refined]
-    candidates.extend((float(c), f(float(c))) for c in extra_candidates)
-    best_u, best_value = min(candidates, key=lambda pair: (-pair[1], pair[0]))
-    return best_u, best_value
+    refined_s, refined_value = _golden_max(
+        lambda s: float(objective(-s)),
+        -float(grid_z[max(i - 1, 0)]),
+        -float(grid_z[min(i + 1, len(grid_z) - 1)]),
+        lambda a, b: float(_upper_mass(model, -b) - _upper_mass(model, -a)),
+    )
+    candidates = [(float(grid_z[i]), float(values[i])), (-refined_s, refined_value)]
+    for mass in extra_masses:
+        z = float(_z_at_upper_mass(model, mass))
+        candidates.append((z, float(objective(z))))
+    # The largest z flags the smallest mass.
+    best_z, best_value = min(candidates, key=lambda pair: (-pair[1], -pair[0]))
+    return ThresholdClassifier(float(model.score(best_z))), best_value
 
 
 def q_optimal_classifier(model: BinormalModel, config: QConfig) -> OptimizedClassifier:
@@ -324,17 +335,17 @@ def q_optimal_classifier(model: BinormalModel, config: QConfig) -> OptimizedClas
     point is always evaluated explicitly alongside the smooth interior
     optimum.  ``objective_value`` is the attained Q value.
     """
-
-    def objective(u: np.ndarray) -> np.ndarray:
-        return q_measure_of_mass(model, u, config.beta, config.nas_variant)
-
+    b2 = _check_beta(config.beta)
     hi = 1.0 - _MASS_EDGE
     if hi <= model.p:
         hi = 0.5 * (model.p + 1.0)
-    best_u, best_value = _maximize_mass_objective(
-        objective, model.p, hi, extra_candidates=(model.p,)
+    classifier, best_value = _maximize_over_mass(
+        model,
+        lambda tpr, u: _q_value(model, tpr, u, b2, config.nas_variant),
+        model.p,
+        hi,
+        extra_masses=(model.p,),
     )
-    classifier = threshold_for_positive_mass(model, best_u)
     return _optimized(model, classifier, best_value)
 
 
@@ -346,12 +357,10 @@ def f_optimal_classifier(model: BinormalModel, beta: float) -> OptimizedClassifi
     locates its maximum over (0, 1).  ``objective_value`` is the attained
     F value.
     """
-
-    def objective(u: np.ndarray) -> np.ndarray:
-        return f_measure_of_mass(model, u, beta)
-
-    best_u, best_value = _maximize_mass_objective(objective, _MASS_EDGE, 1.0 - _MASS_EDGE)
-    classifier = threshold_for_positive_mass(model, best_u)
+    b2 = _check_beta(beta)
+    classifier, best_value = _maximize_over_mass(
+        model, lambda tpr, u: _f_value(model, tpr, u, b2), _MASS_EDGE, 1.0 - _MASS_EDGE
+    )
     return _optimized(model, classifier, best_value)
 
 

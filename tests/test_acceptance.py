@@ -6,9 +6,9 @@ asserts, so the gate reads as a checklist::
     pytest -s tests/test_acceptance.py
 
 Closed forms are cross-checked against an independent route (scipy's
-``ndtr``-based normal distribution and ``brentq`` root finding rather
-than this package's erfc / bisection code); randomized criteria use
-fixed seeds, so the whole gate is deterministic.
+``ndtr`` and ``brentq`` root finding in raw score units rather than this
+package's Newton solver on z-scores); randomized criteria use fixed
+seeds, so the whole gate is deterministic.
 """
 
 import math

@@ -2,7 +2,7 @@
 
 Frozen reference values were computed independently with 30-digit
 arithmetic (mpmath) and rounded to double precision; the code under test
-must reproduce them through its own erfc / bisection route.
+must reproduce them through its own standardized-frame route.
 """
 
 import math
@@ -129,6 +129,20 @@ class TestMixtureQuantile:
         u = np.linspace(0.001, 0.999, 200)
         back = mixture_cdf(model, mixture_quantile(model, u))
         np.testing.assert_allclose(back, u, atol=1e-9)
+
+    def test_tail_levels_keep_relative_accuracy(self):
+        """Deep lower-tail levels round-trip to 1e-12 relative; upper-tail
+        levels are solved against 1 - u, so the mass above the quantile
+        matches 1 - u to the same relative accuracy."""
+        for model in (DEFAULT_MODEL, BinormalModel(mu=-3.0, nu=0.5, sigma=2.5, p=0.9)):
+            for u in (1e-300, 1e-100, 1e-16):
+                back = mixture_cdf(model, mixture_quantile(model, u))
+                assert abs(back - u) <= 1e-12 * u
+            for tail in (1e-16, 1e-12, 1e-6):
+                t = mixture_quantile(model, 1.0 - tail)
+                rates = classifier_rates(model, ThresholdClassifier(t))
+                above = model.p * rates.tpr + (1.0 - model.p) * rates.fpr
+                assert abs(above - (1.0 - (1.0 - tail))) <= 1e-12 * tail
 
 
 class TestPosterior:

@@ -7,6 +7,7 @@ directories.  Determinism assertions compare bytes, not parsed values.
 import numpy as np
 import pytest
 
+from binquant import cli
 from binquant.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from binquant.empirical import RNG_ALGORITHM, ScoreSample, write_labeled_csv, write_score_csv
 from binquant.binormal import BinormalModel
@@ -217,6 +218,15 @@ class TestOracle:
     def test_atom_bound_enforced(self):
         assert main(["oracle", "--max-atoms", "21"]) == EXIT_USAGE
         assert main(["oracle", "--max-atoms", "1"]) == EXIT_USAGE
+
+    def test_population_failure_is_a_data_error(self, monkeypatch, capsys):
+        def give_up(rng, n_atoms, tied=False):
+            raise RuntimeError("could not separate atom posteriors")
+
+        monkeypatch.setattr(cli, "random_population", give_up)
+        assert main(["oracle", "--trials", "1"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "could not separate atom posteriors" in err
 
     def test_trials_must_be_positive(self):
         assert main(["oracle", "--trials", "0"]) == EXIT_USAGE

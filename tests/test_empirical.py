@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from binquant.binormal import BinormalModel, ThresholdClassifier, classifier_rates
 from binquant.empirical import (
@@ -74,6 +75,19 @@ class TestSampleBinormal:
 
     def test_algorithm_identifier_is_published(self):
         assert "pcg64" in RNG_ALGORITHM
+
+    def test_scores_follow_the_published_algorithm(self):
+        """Labels from the first uniform stream, scores from ndtri of the second,
+        bit for bit, so the samples can be reproduced outside the package."""
+        model = BinormalModel(mu=-0.5, nu=1.75, sigma=1.3, p=0.4)
+        sample = sample_binormal(model, 1000, seed=21)
+        rng = np.random.default_rng(21)
+        u_label, u_score = rng.random(1000), rng.random(1000)
+        positive = u_label < model.p
+        expected = np.where(positive, model.nu, model.mu) + model.sigma * special.ndtri(u_score)
+        assert np.array_equal(sample.scores(), expected)
+        assert np.array_equal(sample.labels(), np.where(positive, POSITIVE_LABEL, NEGATIVE_LABEL))
+        assert "ndtri" in RNG_ALGORITHM
 
 
 class TestEstimateRates:

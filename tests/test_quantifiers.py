@@ -326,3 +326,93 @@ class TestAdjustedCount:
     def test_rejects_bad_mass(self):
         with pytest.raises(ValueError):
             adjusted_count(1.5, Rates(tpr=0.8, fpr=0.2))
+
+
+def _within_or_bracketed(value, f, t, tol=1e-12):
+    """value equals f(t) within tol, or lies between f at the float neighbours of t.
+
+    The second form accepts a tolerance finer than the threshold's own float
+    spacing: no float threshold can do better.
+    """
+    if abs(f(t) - value) <= tol:
+        return True
+    lo, hi = f(np.nextafter(t, -np.inf)), f(np.nextafter(t, np.inf))
+    return min(lo, hi) <= value <= max(lo, hi)
+
+
+def _mass_above(model, t):
+    rates = classifier_rates(model, ThresholdClassifier(t))
+    return model.p * rates.tpr + (1.0 - model.p) * rates.fpr
+
+
+class TestScaleAndOffset:
+    """Cut-points keep their accuracy far from unit scale and zero offset."""
+
+    def test_bayes_closed_form_at_large_offset(self):
+        """mu = 1e6, sigma = 1e-3: the cut-point sits at z = d/2 + (logit q - logit p) / d."""
+        model = BinormalModel(mu=1e6, nu=1e6 + 2.5e-3, sigma=1e-3, p=0.3)
+        for cost in (CostParams(1.0, 1.0), CostParams(4.0, 1.0), CostParams(1.0, 3.0)):
+            q = cost.posterior_cutoff
+            d = model.d
+            z_closed = d / 2.0 + (math.log(q / (1.0 - q)) - math.log(model.p / (1.0 - model.p))) / d
+            t = bayes_classifier(model, cost).threshold
+            assert _within_or_bracketed(
+                model.mu + model.sigma * z_closed, lambda x: x, t, tol=1e-8 * model.sigma
+            ), (t, z_closed)
+
+    @pytest.mark.parametrize("sigma", [1e-9, 1e6])
+    def test_locally_best_calibrated_at_extreme_scale(self, sigma):
+        """The predicted-positive mass hits p within 1e-10 at sigma 1e-9 and 1e6."""
+        model = BinormalModel(mu=0.0, nu=2.0 * sigma, sigma=sigma, p=0.25)
+        result = locally_best_classifier(model)
+        t = result.classifier.threshold
+        assert _within_or_bracketed(model.p, lambda x: _mass_above(model, x), t, tol=1e-10)
+        assert abs(result.u_star - model.p) <= 1e-10
+
+
+_RULES = {
+    "bayes": lambda m: bayes_classifier(m, CostParams(1.0, 1.0)),
+    "minimax": minimax_classifier,
+    "locally_best": locally_best_classifier,
+    "q_optimal_beta=1": lambda m: q_optimal_classifier(m, QConfig(beta=1.0)),
+    "q_optimal_beta=2": lambda m: q_optimal_classifier(m, QConfig(beta=2.0)),
+    "f_optimal_beta=1": lambda m: f_optimal_classifier(m, 1.0),
+    "f_optimal_beta=2": lambda m: f_optimal_classifier(m, 2.0),
+}
+
+
+class TestAffineInvariance:
+    """Scores a + b * x give thresholds a + b * t with the same masses, rates and values.
+
+    The reference is the standardized model (0, d, 1, p), taking d from the
+    transformed model itself, so that the rounding of a + b * nu does not
+    count against the invariance.
+    """
+
+    @pytest.mark.parametrize("a, b", [(0.0, 1e-9), (1e6, 1e-3), (-5e5, 1e6)])
+    @pytest.mark.parametrize("rule", sorted(_RULES))
+    def test_cut_points_map_affinely(self, a, b, rule):
+        model = BinormalModel(mu=a, nu=a + 2.0 * b, sigma=b, p=0.25)
+        reference = BinormalModel(mu=0.0, nu=model.d, sigma=1.0, p=model.p)
+        got, want = _RULES[rule](model), _RULES[rule](reference)
+        if rule == "bayes":
+            t, t_ref = got.threshold, want.threshold
+        else:
+            t, t_ref = got.classifier.threshold, want.classifier.threshold
+        assert abs(t - (a + b * t_ref)) <= max(1e-12 * b, 2.0 * np.spacing(abs(t)))
+
+        def rates_at(x):
+            return classifier_rates(model, ThresholdClassifier(x))
+
+        ref_rates = classifier_rates(reference, ThresholdClassifier(t_ref))
+        checks = {
+            "tpr": (ref_rates.tpr, lambda x: rates_at(x).tpr),
+            "fpr": (ref_rates.fpr, lambda x: rates_at(x).fpr),
+            "mass": (_mass_above(reference, t_ref), lambda x: _mass_above(model, x)),
+        }
+        for name, (expected, f) in checks.items():
+            assert _within_or_bracketed(expected, f, t), (name, expected, f(t))
+        if rule != "bayes":
+            assert _within_or_bracketed(want.u_star, lambda x: _mass_above(model, x), t)
+            if rule.startswith(("q_", "f_")):
+                assert abs(got.objective_value - want.objective_value) <= 1e-12
