@@ -6,141 +6,20 @@ prevalence estimators under prior shift, and exhaustive discrete oracles
 for the underlying optimality claims.
 """
 
-from .binormal import (
-    BinormalModel,
-    Rates,
-    ThresholdClassifier,
-    classifier_rates,
-    likelihood_ratio,
-    mixture_cdf,
-    mixture_quantile,
-    posterior,
-    std_normal_cdf,
-    std_normal_quantile,
-)
-from .discrete_oracle import (
-    MAX_ATOMS,
-    DiscretePopulation,
-    LocalBayesReport,
-    MinimaxReport,
-    SubsetClassifier,
-    brute_force_fbeta_max,
-    local_bayes_check,
-    minimax_comparison,
-    random_population,
-    subset_confusion,
-    thresholded_fbeta_sup,
-)
-from .empirical import (
-    NEGATIVE_LABEL,
-    POSITIVE_LABEL,
-    RNG_ALGORITHM,
-    CsvFormatError,
-    LabeledSample,
-    ScoreSample,
-    estimate_rates,
-    fit_binormal,
-    quantify_sample,
-    read_labeled_csv,
-    read_score_csv,
-    sample_binormal,
-    write_labeled_csv,
-    write_score_csv,
-)
-from .metrics import (
-    ConfusionProbs,
-    CostParams,
-    NasVariant,
-    QConfig,
-    error_bound,
-    f_beta,
-    misclassification_cost,
-    nas,
-    nas_star,
-    prediction_error,
-    q_beta,
-    shifted_prevalence,
-)
-from .quantifiers import (
-    DegenerateClassifierError,
-    DegenerateCostError,
-    OptimizedClassifier,
-    QuantificationEstimate,
-    adjusted_count,
-    bayes_classifier,
-    classify_and_count,
-    f_measure_of_mass,
-    f_optimal_classifier,
-    locally_best_classifier,
-    minimax_classifier,
-    q_measure_of_mass,
-    q_optimal_classifier,
-    threshold_for_positive_mass,
-)
+from . import binormal, discrete_oracle, empirical, metrics, quantifiers
+from .binormal import *  # noqa: F403
+from .discrete_oracle import *  # noqa: F403
+from .empirical import *  # noqa: F403
+from .metrics import *  # noqa: F403
+from .quantifiers import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinormalModel",
-    "ThresholdClassifier",
-    "Rates",
-    "std_normal_cdf",
-    "std_normal_quantile",
-    "mixture_cdf",
-    "mixture_quantile",
-    "posterior",
-    "likelihood_ratio",
-    "classifier_rates",
-    "CostParams",
-    "NasVariant",
-    "QConfig",
-    "ConfusionProbs",
-    "misclassification_cost",
-    "nas",
-    "nas_star",
-    "f_beta",
-    "q_beta",
-    "shifted_prevalence",
-    "prediction_error",
-    "error_bound",
-    "DegenerateCostError",
-    "DegenerateClassifierError",
-    "OptimizedClassifier",
-    "QuantificationEstimate",
-    "bayes_classifier",
-    "threshold_for_positive_mass",
-    "minimax_classifier",
-    "locally_best_classifier",
-    "q_optimal_classifier",
-    "f_optimal_classifier",
-    "q_measure_of_mass",
-    "f_measure_of_mass",
-    "classify_and_count",
-    "adjusted_count",
-    "MAX_ATOMS",
-    "DiscretePopulation",
-    "SubsetClassifier",
-    "LocalBayesReport",
-    "MinimaxReport",
-    "subset_confusion",
-    "brute_force_fbeta_max",
-    "thresholded_fbeta_sup",
-    "local_bayes_check",
-    "minimax_comparison",
-    "random_population",
-    "RNG_ALGORITHM",
-    "POSITIVE_LABEL",
-    "NEGATIVE_LABEL",
-    "LabeledSample",
-    "ScoreSample",
-    "CsvFormatError",
-    "sample_binormal",
-    "estimate_rates",
-    "quantify_sample",
-    "fit_binormal",
-    "read_labeled_csv",
-    "write_labeled_csv",
-    "read_score_csv",
-    "write_score_csv",
+    *binormal.__all__,
+    *metrics.__all__,
+    *quantifiers.__all__,
+    *discrete_oracle.__all__,
+    *empirical.__all__,
     "__version__",
 ]

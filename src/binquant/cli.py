@@ -8,9 +8,10 @@ Subcommands::
     quantify        prevalence estimates for score files
     oracle          randomized enumeration checks on discrete populations
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 oracle violation.
-Every command is deterministic given its flags; CSV artifacts start with a
-``#`` comment recording the parameters that produced them.
+Exit codes: 0 success, 1 usage error, 2 data error (unreadable, unwritable
+or malformed files, degenerate rates), 3 oracle violation.  Every command
+is deterministic given its flags; CSV artifacts start with a ``#`` comment
+recording the parameters that produced them.
 """
 
 from __future__ import annotations
@@ -32,13 +33,15 @@ from .discrete_oracle import (
     thresholded_fbeta_sup,
 )
 from .empirical import (
+    _flagged_fraction,
     estimate_rates,
     fit_binormal,
     quantify_sample,
     read_labeled_csv,
     read_score_csv,
 )
-from .metrics import CostParams, NasVariant, QConfig, prediction_error, shifted_prevalence
+from .metrics import (CostParams, NasVariant, QConfig, _check_beta, prediction_error,
+                      shifted_prevalence)
 from .quantifiers import (
     bayes_classifier,
     f_optimal_classifier,
@@ -66,18 +69,10 @@ class _UsageError(Exception):
 class RunConfig:
     """Model and evaluation settings shared by the analytic commands."""
 
-    mu: float
-    nu: float
-    sigma: float
-    p: float
+    model: BinormalModel
     betas: tuple[float, ...]
     nas_variant: NasVariant
-    grid: int
-    seed: int
     out: str | None
-
-    def model(self) -> BinormalModel:
-        return BinormalModel(mu=self.mu, nu=self.nu, sigma=self.sigma, p=self.p)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,39 +99,55 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
                         help="measure weight, repeatable (default 1 and 2)")
     parser.add_argument("--nas", choices=[v.value for v in NasVariant], default="nas-star",
                         help="calibration score used in Q (default %(default)s)")
-    parser.add_argument("--grid", type=int, default=1001,
-                        help="grid resolution (default %(default)s)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="random seed where applicable (default %(default)s)")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="output file (default: stdout)")
 
 
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    betas = tuple(args.beta) if args.beta else (1.0, 2.0)
-    if any(not b > 0.0 for b in betas):
-        raise _UsageError("--beta values must be positive")
-    if args.grid < 2:
-        raise _UsageError("--grid must be at least 2")
+def _betas(args: argparse.Namespace, default: tuple[float, ...]) -> tuple[float, ...]:
+    betas = tuple(args.beta) if args.beta else default
     try:
-        BinormalModel(mu=args.mu, nu=args.nu, sigma=args.sigma, p=args.p)
+        for beta in betas:
+            _check_beta(beta)
+    except ValueError as exc:
+        raise _UsageError(f"--beta: {exc}") from exc
+    return betas
+
+
+def _model(args: argparse.Namespace) -> BinormalModel:
+    try:
+        return BinormalModel(mu=args.mu, nu=args.nu, sigma=args.sigma, p=args.p)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
+
+
+def _run_config(args: argparse.Namespace) -> RunConfig:
+    betas = _betas(args, (1.0, 2.0))
     return RunConfig(
-        mu=args.mu, nu=args.nu, sigma=args.sigma, p=args.p,
-        betas=betas, nas_variant=NasVariant(args.nas),
-        grid=args.grid, seed=args.seed, out=args.out,
+        model=_model(args), betas=betas, nas_variant=NasVariant(args.nas), out=args.out
     )
+
+
+def _grid(args: argparse.Namespace) -> int:
+    if args.grid < 2:
+        raise _UsageError("--grid must be at least 2")
+    return args.grid
 
 
 def _fmt_betas(betas: tuple[float, ...]) -> str:
     return ",".join(f"{b:g}" for b in betas)
 
 
-def _write_csv(out: str | None, comment: str, header: list[str], columns: list) -> None:
+def _comment(command: str, cfg: RunConfig, betas: tuple[float, ...]) -> str:
+    """Provenance comment of an analytic command's CSV artifact."""
+    m = cfg.model
+    return (f"binquant {command} mu={m.mu:g} nu={m.nu:g} sigma={m.sigma:g} p={m.p:g} "
+            f"beta={_fmt_betas(betas)} nas={cfg.nas_variant.value}")
+
+
+def _write_csv(out: str | None, comment: str, header: list[str], rows) -> None:
     lines = [f"# {comment}", ",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(repr(float(v)) for v in row))
+    for row in rows:
+        lines.append(",".join(v if isinstance(v, str) else repr(float(v)) for v in row))
     text = "\n".join(lines) + "\n"
     if out is None:
         sys.stdout.write(text)
@@ -147,8 +158,9 @@ def _write_csv(out: str | None, comment: str, header: list[str], columns: list) 
 
 def _cmd_figure_qcurve(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
-    model = cfg.model()
-    u = np.linspace(0.0, 1.0, cfg.grid)
+    grid = _grid(args)
+    model = cfg.model
+    u = np.linspace(0.0, 1.0, grid)
     if not np.any(u == model.p):
         u = np.sort(np.append(u, model.p))
     header = ["u"]
@@ -156,22 +168,20 @@ def _cmd_figure_qcurve(args: argparse.Namespace) -> int:
     for beta in cfg.betas:
         header.append(f"q_beta_{beta:g}")
         columns.append(q_measure_of_mass(model, u, beta, cfg.nas_variant))
-    comment = (
-        f"binquant figure-qcurve mu={cfg.mu:g} nu={cfg.nu:g} sigma={cfg.sigma:g} p={cfg.p:g} "
-        f"beta={_fmt_betas(cfg.betas)} nas={cfg.nas_variant.value} grid={cfg.grid}"
-    )
-    _write_csv(cfg.out, comment, header, columns)
+    comment = f"{_comment('figure-qcurve', cfg, cfg.betas)} grid={grid}"
+    _write_csv(cfg.out, comment, header, zip(*columns))
     return EXIT_OK
 
 
 def _cmd_figure_error(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
-    model = cfg.model()
+    grid = _grid(args)
+    model = cfg.model
     beta = cfg.betas[0]
     q_opt = q_optimal_classifier(model, QConfig(beta=beta, nas_variant=cfg.nas_variant))
     mm = minimax_classifier(model)
     lb = locally_best_classifier(model)
-    w = np.linspace(0.0, 1.0, cfg.grid)
+    w = np.linspace(0.0, 1.0, grid)
     header = ["w", "err_qopt", "err_minimax", "err_locallybest"]
     columns = [
         w,
@@ -179,17 +189,14 @@ def _cmd_figure_error(args: argparse.Namespace) -> int:
         prediction_error(mm.rates, w),
         prediction_error(lb.rates, w),
     ]
-    comment = (
-        f"binquant figure-error mu={cfg.mu:g} nu={cfg.nu:g} sigma={cfg.sigma:g} p={cfg.p:g} "
-        f"beta={beta:g} nas={cfg.nas_variant.value} grid={cfg.grid}"
-    )
-    _write_csv(cfg.out, comment, header, columns)
+    comment = f"{_comment('figure-error', cfg, (beta,))} grid={grid}"
+    _write_csv(cfg.out, comment, header, zip(*columns))
     return EXIT_OK
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
-    model = cfg.model()
+    model = cfg.model
     try:
         cost = CostParams(fn_cost=args.cost_fn, fp_cost=args.cost_fp)
         bayes = bayes_classifier(model, cost)
@@ -220,15 +227,9 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
     header = ["name", "threshold", "u_star", "tpr", "fpr", "objective"]
     if cfg.out is not None:
-        columns = list(zip(*((t, u, tp, fp, ob) for _, t, u, tp, fp, ob in rows)))
-        lines = [f"# binquant optimize mu={cfg.mu:g} nu={cfg.nu:g} sigma={cfg.sigma:g} "
-                 f"p={cfg.p:g} beta={_fmt_betas(cfg.betas)} nas={cfg.nas_variant.value} "
-                 f"cost-fn={args.cost_fn:g} cost-fp={args.cost_fp:g}",
-                 ",".join(header)]
-        for name, *values in rows:
-            lines.append(",".join([name] + [repr(float(v)) for v in values]))
-        with open(cfg.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write("\n".join(lines) + "\n")
+        comment = (f"{_comment('optimize', cfg, cfg.betas)} "
+                   f"cost-fn={args.cost_fn:g} cost-fp={args.cost_fp:g}")
+        _write_csv(cfg.out, comment, header, rows)
     else:
         print(f"{header[0]:<22}" + "".join(f"{h:>14}" for h in header[1:]))
         for name, *values in rows:
@@ -237,13 +238,9 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _quantify_model(args: argparse.Namespace, train) -> BinormalModel:
-    flags = (args.mu, args.nu, args.sigma, args.p)
-    given = [v is not None for v in flags]
+    given = [v is not None for v in (args.mu, args.nu, args.sigma, args.p)]
     if all(given):
-        try:
-            return BinormalModel(mu=args.mu, nu=args.nu, sigma=args.sigma, p=args.p)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from exc
+        return _model(args)
     if any(given):
         raise _UsageError("give all of --mu/--nu/--sigma/--p or none (to fit from the train file)")
     return fit_binormal(train)
@@ -252,9 +249,7 @@ def _quantify_model(args: argparse.Namespace, train) -> BinormalModel:
 def _cmd_quantify(args: argparse.Namespace) -> int:
     if (args.threshold is None) == (args.rule is None):
         raise _UsageError("provide exactly one of --threshold or --rule")
-    betas = tuple(args.beta) if args.beta else (1.0, 2.0)
-    if any(not b > 0.0 for b in betas):
-        raise _UsageError("--beta values must be positive")
+    betas = _betas(args, (1.0,))
 
     train = read_labeled_csv(args.train)
     target = read_score_csv(args.target)
@@ -278,9 +273,7 @@ def _cmd_quantify(args: argparse.Namespace) -> int:
     print(f"threshold={classifier.threshold!r}")
     print(f"tpr={rates.tpr!r} fpr={rates.fpr!r} (estimated from {args.train})")
     if args.method == "cc":
-        flagged = target.scores_array() > classifier.threshold
-        cc = float(np.count_nonzero(flagged)) / target.n
-        print(f"cc={cc!r}")
+        print(f"cc={_flagged_fraction(target, classifier)!r}")
     else:
         estimate = quantify_sample(target, classifier, rates)
         print(f"cc={estimate.cc!r}")
@@ -293,9 +286,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         raise _UsageError(f"--max-atoms must lie in [2, {MAX_ATOMS}], got {args.max_atoms}")
     if args.trials < 1:
         raise _UsageError("--trials must be at least 1")
-    betas = tuple(args.beta) if args.beta else (0.5, 1.0, 2.0)
-    if any(not b > 0.0 for b in betas):
-        raise _UsageError("--beta values must be positive")
+    betas = _betas(args, (0.5, 1.0, 2.0))
 
     rng = np.random.default_rng(args.seed)
     checks = 0
@@ -351,15 +342,16 @@ def build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    sub = subparsers.add_parser("figure-qcurve", help="Q measure over a predicted-mass grid")
-    _add_model_flags(sub)
-    _add_shared_flags(sub)
-    sub.set_defaults(handler=_cmd_figure_qcurve)
-
-    sub = subparsers.add_parser("figure-error", help="counting error over a shifted-prior grid")
-    _add_model_flags(sub)
-    _add_shared_flags(sub)
-    sub.set_defaults(handler=_cmd_figure_error)
+    for name, help_text, handler in (
+        ("figure-qcurve", "Q measure over a predicted-mass grid", _cmd_figure_qcurve),
+        ("figure-error", "counting error over a shifted-prior grid", _cmd_figure_error),
+    ):
+        sub = subparsers.add_parser(name, help=help_text)
+        _add_model_flags(sub)
+        _add_shared_flags(sub)
+        sub.add_argument("--grid", type=int, default=1001,
+                         help="grid resolution (default %(default)s)")
+        sub.set_defaults(handler=handler)
 
     sub = subparsers.add_parser("optimize", help="optimal cut-points under the model")
     _add_model_flags(sub)
@@ -411,7 +403,9 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:  # includes CsvFormatError and DegenerateClassifierError
+    # ValueError includes CsvFormatError and DegenerateClassifierError; OSError
+    # covers unreadable inputs and unwritable --out paths, and names the path.
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

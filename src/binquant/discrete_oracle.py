@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .metrics import ConfusionProbs, CostParams
+from .metrics import ConfusionProbs, CostParams, _check_beta, _f_formula
 
 __all__ = [
     "MAX_ATOMS",
@@ -75,8 +76,7 @@ class DiscretePopulation:
         total = math.fsum(mp + mn for mp, mn in atoms)
         if abs(total - 1.0) > _MASS_SUM_TOL:
             raise ValueError(f"masses must sum to 1, got {total!r}")
-        prevalence = math.fsum(mp for mp, _ in atoms)
-        if not (0.0 < prevalence < 1.0):
+        if not (0.0 < self.prevalence < 1.0):
             raise ValueError("both classes must carry positive mass")
 
     @property
@@ -92,6 +92,22 @@ class DiscretePopulation:
     def posteriors(self) -> tuple[float, ...]:
         """Per-atom positive-class posterior mp / (mp + mn)."""
         return tuple(mp / (mp + mn) for mp, mn in self.atoms)
+
+    @cached_property
+    def subset_masses(self) -> tuple[np.ndarray, np.ndarray]:
+        """Positive and negative mass of every subset, indexed by bit mask.
+
+        Built once per population and shared by every check; the arrays
+        are read-only.
+        """
+        pos = np.zeros(1)
+        neg = np.zeros(1)
+        for mp, mn in self.atoms:
+            pos = np.concatenate([pos, pos + mp])
+            neg = np.concatenate([neg, neg + mn])
+        pos.flags.writeable = False
+        neg.flags.writeable = False
+        return pos, neg
 
 
 @dataclass(frozen=True)
@@ -113,33 +129,32 @@ def _check_indices(population: DiscretePopulation, classifier: SubsetClassifier)
         raise ValueError(f"atom indices {sorted(bad)} out of range for {population.n_atoms} atoms")
 
 
-def _subset_masses(population: DiscretePopulation) -> tuple[np.ndarray, np.ndarray]:
-    """Positive and negative mass of every subset, indexed by bit mask."""
-    pos = np.zeros(1)
-    neg = np.zeros(1)
-    for mp, mn in population.atoms:
-        pos = np.concatenate([pos, pos + mp])
-        neg = np.concatenate([neg, neg + mn])
-    return pos, neg
-
-
 def _mask_to_indices(mask: int, n_atoms: int) -> tuple[int, ...]:
     return tuple(i for i in range(n_atoms) if mask >> i & 1)
 
 
-def _indices_to_mask(indices, n_atoms: int) -> int:
-    mask = 0
-    for i in indices:
-        mask |= 1 << i
-    return mask
+def _posterior_cut(posteriors: tuple[float, ...], level: float, strict: bool = True) -> int:
+    """Bit mask of {posterior > level}, or of {posterior >= level} when not strict."""
+    return sum(1 << i for i, q in enumerate(posteriors) if (q > level if strict else q >= level))
 
 
-def _fbeta_values(pos: np.ndarray, neg: np.ndarray, prevalence: float, beta: float) -> np.ndarray:
-    """F measure of every subset; 0 for the empty prediction."""
-    b2 = beta * beta
-    predicted = pos + neg
-    values = (1.0 + b2) * pos / (b2 * prevalence + predicted)
-    return np.where(predicted > 0.0, values, 0.0)
+def _threshold_sets(population: DiscretePopulation) -> list[int]:
+    """Bit masks of every posterior threshold set, in a fixed order.
+
+    Levels q run over the distinct atom posteriors in ascending order, then
+    0 and 1, and each level gives {posterior > q} before {posterior >= q}.
+    On a finite population every threshold set equals one of these.
+    """
+    posteriors = population.posteriors
+    levels = sorted(set(posteriors)) + [0.0, 1.0]
+    return [_posterior_cut(posteriors, q, strict) for q in levels for strict in (True, False)]
+
+
+def _fbeta_values(population: DiscretePopulation, beta: float) -> np.ndarray:
+    """F measure of every subset; 0 for the empty prediction, whose cells are 0."""
+    b2 = _check_beta(beta)
+    pos, neg = population.subset_masses
+    return _f_formula(pos, population.prevalence, pos + neg, b2)
 
 
 def subset_confusion(population: DiscretePopulation, classifier: SubsetClassifier) -> ConfusionProbs:
@@ -163,10 +178,7 @@ def brute_force_fbeta_max(
     Ties are broken deterministically: among subsets attaining the maximal
     value, the lexicographically smallest sorted index tuple wins.
     """
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise ValueError(f"beta must be positive, got {beta!r}")
-    pos, neg = _subset_masses(population)
-    values = _fbeta_values(pos, neg, population.prevalence, beta)
+    values = _fbeta_values(population, beta)
     best_value = float(np.max(values))
     tied_masks = np.flatnonzero(values == best_value)
     n = population.n_atoms
@@ -181,20 +193,8 @@ def thresholded_fbeta_sup(population: DiscretePopulation, beta: float) -> float:
     the distinct atom posteriors together with 0 and 1; on a finite
     population every threshold set equals one of these.
     """
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise ValueError(f"beta must be positive, got {beta!r}")
-    pos, neg = _subset_masses(population)
-    values = _fbeta_values(pos, neg, population.prevalence, beta)
-    posteriors = population.posteriors
-    n = population.n_atoms
-
-    best = 0.0
-    levels = sorted(set(posteriors)) + [0.0, 1.0]
-    for level in levels:
-        strict = _indices_to_mask((i for i in range(n) if posteriors[i] > level), n)
-        weak = _indices_to_mask((i for i in range(n) if posteriors[i] >= level), n)
-        best = max(best, float(values[strict]), float(values[weak]))
-    return best
+    values = _fbeta_values(population, beta)
+    return float(np.max(values[_threshold_sets(population)]))
 
 
 @dataclass(frozen=True)
@@ -230,15 +230,13 @@ def local_bayes_check(
     """
     if not (0.0 <= cut_level <= 1.0):
         raise ValueError(f"cut level must lie in [0, 1], got {cut_level!r}")
-    pos, neg = _subset_masses(population)
+    pos, neg = population.subset_masses
     predicted = pos + neg
     prevalence = population.prevalence
     costs = cost.fn_cost * (prevalence - pos) + cost.fp_cost * neg
 
-    posteriors = population.posteriors
-    n = population.n_atoms
-    cut_indices = frozenset(i for i in range(n) if posteriors[i] > cut_level)
-    cut_mask = _indices_to_mask(cut_indices, n)
+    cut_mask = _posterior_cut(population.posteriors, cut_level)
+    cut_indices = frozenset(_mask_to_indices(cut_mask, population.n_atoms))
     cut_mass = float(predicted[cut_mask])
     cut_cost = float(costs[cut_mask])
 
@@ -288,7 +286,7 @@ def minimax_comparison(population: DiscretePopulation) -> MinimaxReport:
     populations the brute-force minimum can be strictly smaller because
     the ratio takes only finitely many values; it can never be larger.
     """
-    pos, neg = _subset_masses(population)
+    pos, neg = population.subset_masses
     prevalence = population.prevalence
     fpr = neg / (1.0 - prevalence)
     fnr = 1.0 - pos / prevalence
@@ -298,19 +296,11 @@ def minimax_comparison(population: DiscretePopulation) -> MinimaxReport:
     brute_value = float(np.min(worst))
     brute_mask = int(np.argmin(worst))
 
-    posteriors = population.posteriors
-    threshold_value = math.inf
-    threshold_mask = 0
-    levels = sorted(set(posteriors)) + [0.0, 1.0]
-    for level in levels:
-        for mask in (
-            _indices_to_mask((i for i in range(n) if posteriors[i] > level), n),
-            _indices_to_mask((i for i in range(n) if posteriors[i] >= level), n),
-        ):
-            value = float(worst[mask])
-            if value < threshold_value:
-                threshold_value = value
-                threshold_mask = mask
+    # The first threshold set in enumeration order wins ties.
+    masks = _threshold_sets(population)
+    best = int(np.argmin(worst[masks]))
+    threshold_mask = masks[best]
+    threshold_value = float(worst[threshold_mask])
 
     return MinimaxReport(
         brute_value=brute_value,

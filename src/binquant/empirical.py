@@ -156,9 +156,13 @@ def quantify_sample(
     Propagates ``DegenerateClassifierError`` when the rates carry no
     signal.
     """
+    return adjusted_count(_flagged_fraction(target, classifier), rates)
+
+
+def _flagged_fraction(target: ScoreSample, classifier: ThresholdClassifier) -> float:
+    """Share of the sample the rule flags positive: the classify-and-count estimate."""
     flagged = target.scores_array() > classifier.threshold
-    cc = float(np.count_nonzero(flagged)) / target.n
-    return adjusted_count(cc, rates)
+    return float(np.count_nonzero(flagged)) / target.n
 
 
 def fit_binormal(sample: LabeledSample) -> BinormalModel:
@@ -208,11 +212,14 @@ def _parse_score(token: str, path: str, lineno: int) -> float:
 
 def _data_lines(path: str):
     with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            yield lineno, line
+        try:
+            for lineno, raw in enumerate(handle, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                yield lineno, line
+        except UnicodeDecodeError as exc:
+            raise CsvFormatError(f"{path}: {exc}") from None
 
 
 def read_labeled_csv(path: str) -> LabeledSample:

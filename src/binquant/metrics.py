@@ -45,15 +45,25 @@ __all__ = [
 _PROB_TOL = 1e-9
 
 
+def _check_beta(beta: float) -> float:
+    """beta^2 for a valid measure weight: beta must be finite and positive."""
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise ValueError(f"beta must be finite and positive, got {beta!r}")
+    return beta * beta
+
+
 @dataclass(frozen=True)
 class CostParams:
     """Misclassification prices: ``fn_cost`` for missing a positive,
-    ``fp_cost`` for a false alarm.  Both nonnegative, not both zero."""
+    ``fp_cost`` for a false alarm.  Both finite and nonnegative, not both
+    zero."""
 
     fn_cost: float
     fp_cost: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.fn_cost) and math.isfinite(self.fp_cost)):
+            raise ValueError("costs must be finite")
         if self.fn_cost < 0.0 or self.fp_cost < 0.0:
             raise ValueError("costs must be nonnegative")
         if self.fn_cost + self.fp_cost <= 0.0:
@@ -82,8 +92,7 @@ class QConfig:
     nas_variant: NasVariant = NasVariant.NAS_STAR
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.beta) and self.beta > 0.0):
-            raise ValueError(f"beta must be positive, got {self.beta!r}")
+        _check_beta(self.beta)
         if not isinstance(self.nas_variant, NasVariant):
             raise ValueError(f"nas_variant must be a NasVariant, got {self.nas_variant!r}")
 
@@ -162,6 +171,18 @@ def nas_star(p_pred, p_pos: float):
     return out if np.ndim(p_pred) else float(out)
 
 
+def _f_formula(p_pos_and_pred, p_pos, p_pred, b2: float):
+    """F measure (1 + b2) p_pos_and_pred / (b2 p_pos + p_pred) from its cells; vectorizes."""
+    return (1.0 + b2) * p_pos_and_pred / (b2 * p_pos + p_pred)
+
+
+def _q_formula(tpr, nas_value, b2: float):
+    """Q measure (1 + b2) tpr nas / (b2 tpr + nas), 0 where both terms vanish; vectorizes."""
+    denom = b2 * tpr + nas_value
+    safe = denom > 0.0
+    return np.where(safe, (1.0 + b2) * tpr * nas_value / np.where(safe, denom, 1.0), 0.0)
+
+
 def f_beta(probs: ConfusionProbs, beta: float) -> float:
     """F measure with recall weight beta.
 
@@ -169,12 +190,10 @@ def f_beta(probs: ConfusionProbs, beta: float) -> float:
     harmonic mean of precision and recall; defined as 0 when nothing is
     predicted positive.
     """
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise ValueError(f"beta must be positive, got {beta!r}")
+    b2 = _check_beta(beta)
     if probs.p_pred <= 0.0:
         return 0.0
-    b2 = beta * beta
-    return (1.0 + b2) * probs.p_pos_and_pred / (b2 * probs.p_pos + probs.p_pred)
+    return _f_formula(probs.p_pos_and_pred, probs.p_pos, probs.p_pred, b2)
 
 
 def q_beta(tpr: float, nas_value: float, beta: float) -> float:
@@ -183,16 +202,12 @@ def q_beta(tpr: float, nas_value: float, beta: float) -> float:
     (1 + beta^2) * tpr * nas / (beta^2 * tpr + nas); defined as 0 when both
     inputs vanish, matching the limit of the measure at empty predictions.
     """
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise ValueError(f"beta must be positive, got {beta!r}")
+    b2 = _check_beta(beta)
     if not (0.0 <= tpr <= 1.0):
         raise ValueError(f"tpr must lie in [0, 1], got {tpr!r}")
     if not (0.0 <= nas_value <= 1.0):
         raise ValueError(f"nas_value must lie in [0, 1], got {nas_value!r}")
-    denom = beta * beta * tpr + nas_value
-    if denom <= 0.0:
-        return 0.0
-    return (1.0 + beta * beta) * tpr * nas_value / denom
+    return float(_q_formula(tpr, nas_value, b2))
 
 
 def shifted_prevalence(rates: Rates, w):
@@ -213,8 +228,7 @@ def prediction_error(rates: Rates, w):
     |w - (w * (tpr - fpr) + fpr)|: piecewise linear and V-shaped in w, with
     its only zero at fpr / (fpr + 1 - tpr).  Vectorizes over ``w``.
     """
-    arr = _check_unit_interval(w, "w")
-    out = np.abs(arr - (arr * (rates.tpr - rates.fpr) + rates.fpr))
+    out = np.abs(np.asarray(w, dtype=float) - shifted_prevalence(rates, w))
     return out if np.ndim(w) else float(out)
 
 

@@ -40,7 +40,8 @@ from .binormal import (
     classifier_rates,
     std_normal_cdf,
 )
-from .metrics import CostParams, NasVariant, QConfig, nas, nas_star, shifted_prevalence
+from .metrics import (CostParams, NasVariant, QConfig, _check_beta, _check_unit_interval,
+                      _f_formula, _q_formula, nas, nas_star, shifted_prevalence)
 
 __all__ = [
     "DegenerateCostError",
@@ -203,32 +204,16 @@ def locally_best_classifier(model: BinormalModel) -> OptimizedClassifier:
     return _optimized(model, classifier, max(rates.fpr, rates.fnr))
 
 
-def _check_beta(beta: float) -> float:
-    """beta^2 for a valid measure weight beta."""
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise ValueError(f"beta must be positive, got {beta!r}")
-    return beta * beta
-
-
 def _q_value(model: BinormalModel, tpr, u, b2: float, nas_variant: NasVariant):
     """Q measure from recall and predicted-positive mass; 0 where both terms vanish."""
     nas_vals = nas_star(u, model.p) if nas_variant is NasVariant.NAS_STAR else nas(u, model.p)
-    denom = b2 * tpr + nas_vals
-    safe = denom > 0.0
-    return np.where(safe, (1.0 + b2) * tpr * nas_vals / np.where(safe, denom, 1.0), 0.0)
-
-
-def _f_value(model: BinormalModel, tpr, u, b2: float):
-    """F measure from recall and predicted-positive mass."""
-    return (1.0 + b2) * model.p * tpr / (b2 * model.p + u)
+    return _q_formula(tpr, nas_vals, b2)
 
 
 def _measure_of_mass(model: BinormalModel, u, value, at_full: float):
     """Evaluate ``value(tpr, u)`` at the mass-u cut-points; 0 at u = 0, ``at_full`` at u = 1."""
     scalar = np.ndim(u) == 0
-    arr = np.atleast_1d(np.asarray(u, dtype=float))
-    if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0)):
-        raise ValueError("predicted-positive mass must lie in [0, 1]")
+    arr = np.atleast_1d(_check_unit_interval(u, "predicted-positive mass"))
 
     out = np.zeros(arr.shape)
     interior = (arr > 0.0) & (arr < 1.0)
@@ -264,7 +249,8 @@ def f_measure_of_mass(model: BinormalModel, u, beta: float):
     """
     b2 = _check_beta(beta)
     return _measure_of_mass(
-        model, u, lambda tpr, ui: _f_value(model, tpr, ui, b2), _f_value(model, 1.0, 1.0, b2)
+        model, u, lambda tpr, ui: _f_formula(model.p * tpr, model.p, ui, b2),
+        _f_formula(model.p, model.p, 1.0, b2),
     )
 
 
@@ -359,7 +345,8 @@ def f_optimal_classifier(model: BinormalModel, beta: float) -> OptimizedClassifi
     """
     b2 = _check_beta(beta)
     classifier, best_value = _maximize_over_mass(
-        model, lambda tpr, u: _f_value(model, tpr, u, b2), _MASS_EDGE, 1.0 - _MASS_EDGE
+        model, lambda tpr, u: _f_formula(model.p * tpr, model.p, u, b2),
+        _MASS_EDGE, 1.0 - _MASS_EDGE,
     )
     return _optimized(model, classifier, best_value)
 
@@ -370,9 +357,7 @@ def classify_and_count(rates: Rates, w_true: float) -> float:
     Simply ``shifted_prevalence``; the raw flagged fraction used as a
     prevalence estimate, before any adjustment.
     """
-    if not (0.0 <= w_true <= 1.0):
-        raise ValueError(f"prior must lie in [0, 1], got {w_true!r}")
-    return w_true * (rates.tpr - rates.fpr) + rates.fpr
+    return shifted_prevalence(rates, w_true)
 
 
 def adjusted_count(p1_h: float, rates: Rates) -> QuantificationEstimate:

@@ -252,3 +252,70 @@ class TestUsageErrors:
 
     def test_invalid_grid(self):
         assert main(["figure-qcurve", "--grid", "1"]) == EXIT_USAGE
+
+
+README_OPTIMIZE_TABLE = """\
+name                       threshold        u_star           tpr           fpr     objective
+bayes                       1.549306      0.213964      0.673895      0.060654      0.127017
+minimax                     1.000000      0.329328      0.841345      0.158655      0.158655
+locally_best                1.359573      0.250000      0.739052      0.086983      0.260948
+q_optimal_beta=1            1.059664      0.315106      0.826477      0.144649      0.867674
+q_optimal_beta=2            1.359573      0.250000      0.739052      0.086983      0.934041
+f_optimal_beta=1            1.283374      0.265560      0.763198      0.099681      0.740164
+f_optimal_beta=2            0.721919      0.401227      0.899390      0.235172      0.802324
+"""
+
+
+class TestOptimizeReadmeExample:
+    def test_stdout_matches_readme_table(self, capsys):
+        assert main(["optimize"]) == EXIT_OK
+        assert capsys.readouterr().out == README_OPTIMIZE_TABLE
+
+    @pytest.mark.parametrize("flag", ["--cost-fn", "--cost-fp"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_cost_is_a_usage_error(self, flag, value, capsys):
+        assert main(["optimize", flag, value]) == EXIT_USAGE
+        assert "costs must be finite" in capsys.readouterr().err
+
+
+class TestFileErrors:
+    def test_missing_train_file(self, sample_files, tmp_path, capsys):
+        _, target = sample_files
+        missing = str(tmp_path / "missing.csv")
+        assert main(["quantify", missing, target, "--threshold", "1"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and missing in err
+
+    def test_unwritable_out_path(self, tmp_path, capsys):
+        out = str(tmp_path / "no" / "such" / "x.csv")
+        assert main(["optimize", "--out", out]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and out in err
+
+    def test_invalid_utf8_target_names_the_file(self, sample_files, tmp_path, capsys):
+        train, _ = sample_files
+        bad = tmp_path / "target.csv"
+        bad.write_bytes(b"score\n1.0\n\xff\n")
+        assert main(["quantify", train, str(bad), "--threshold", "1"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and "utf-8" in err
+
+
+class TestFlagSet:
+    @pytest.mark.parametrize("command", ["figure-qcurve", "optimize", "quantify", "oracle"])
+    @pytest.mark.parametrize("beta", ["inf", "nan"])
+    def test_invalid_beta_is_a_usage_error(self, command, beta, sample_files, capsys):
+        argv = [command, "--beta", beta]
+        if command == "quantify":
+            argv[1:1] = [*sample_files, "--threshold", "1"]
+        assert main(argv) == EXIT_USAGE
+        assert "beta must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["figure-qcurve", "--seed", "1"],
+        ["figure-error", "--seed", "1"],
+        ["optimize", "--seed", "1"],
+        ["optimize", "--grid", "11"],
+    ])
+    def test_unread_flags_are_gone(self, argv):
+        assert main(argv) == EXIT_USAGE

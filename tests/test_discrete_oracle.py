@@ -230,3 +230,24 @@ class TestRandomPopulation:
         for n in (1, MAX_ATOMS + 1):
             with pytest.raises(ValueError):
                 random_population(rng, n)
+
+
+class TestSubsetMasses:
+    def test_built_once_and_read_only(self):
+        pop = DiscretePopulation(atoms=POP_MINIMAX_GAP.atoms)
+        pos, neg = pop.subset_masses
+        again = pop.subset_masses
+        assert again[0] is pos and again[1] is neg
+        for arr in (pos, neg):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_indexed_by_bit_mask(self):
+        pop = POP_MINIMAX_GAP
+        pos, neg = pop.subset_masses
+        assert pos.shape == neg.shape == (1 << pop.n_atoms,)
+        for mask in range(1 << pop.n_atoms):
+            included = frozenset(i for i in range(pop.n_atoms) if mask >> i & 1)
+            probs = subset_confusion(pop, SubsetClassifier(included))
+            np.testing.assert_allclose(pos[mask], probs.p_pos_and_pred, atol=1e-15)
+            np.testing.assert_allclose(neg[mask], probs.p_neg_and_pred, atol=1e-15)

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from binquant.binormal import Rates
+from binquant.binormal import BinormalModel, Rates
+from binquant.discrete_oracle import DiscretePopulation, brute_force_fbeta_max
 from binquant.metrics import (
     ConfusionProbs,
     CostParams,
@@ -20,6 +21,7 @@ from binquant.metrics import (
     q_beta,
     shifted_prevalence,
 )
+from binquant.quantifiers import f_optimal_classifier
 
 # Balanced error level of the midpoint cut under the default model,
 # 1 - Phi(1); doubles as the sharp error bound for those rates.
@@ -44,6 +46,36 @@ class TestCostParams:
     def test_one_zero_cost_allowed(self):
         assert CostParams(fn_cost=0.0, fp_cost=2.0).posterior_cutoff == 1.0
         assert CostParams(fn_cost=2.0, fp_cost=0.0).posterior_cutoff == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_costs(self, bad):
+        for fn_cost, fp_cost in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(ValueError, match="costs must be finite"):
+                CostParams(fn_cost=fn_cost, fp_cost=fp_cost)
+
+
+class TestBetaRule:
+    """Every entry point that takes a measure weight rejects the same values
+    with the same message."""
+
+    @pytest.mark.parametrize("beta", [math.inf, math.nan, 0.0])
+    def test_one_message_everywhere(self, beta):
+        model = BinormalModel(mu=0.0, nu=2.0, sigma=1.0, p=0.25)
+        probs = ConfusionProbs(p_pos_and_pred=0.2, p_neg_and_pred=0.1, p_pos=0.25, p_pred=0.3)
+        population = DiscretePopulation(atoms=((0.25, 0.25), (0.25, 0.25)))
+        calls = (
+            lambda: QConfig(beta=beta),
+            lambda: f_beta(probs, beta),
+            lambda: q_beta(0.5, 0.5, beta),
+            lambda: f_optimal_classifier(model, beta),
+            lambda: brute_force_fbeta_max(population, beta),
+        )
+        messages = set()
+        for call in calls:
+            with pytest.raises(ValueError) as exc:
+                call()
+            messages.add(str(exc.value))
+        assert messages == {f"beta must be finite and positive, got {beta!r}"}
 
 
 class TestMisclassificationCost:
