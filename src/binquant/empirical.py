@@ -8,8 +8,8 @@ the class label and one for the score, and scores are
 second stream.  A reimplementation that matches the uniform stream
 therefore matches the samples bit for bit.
 
-CSV formats, both with UTF-8 text, LF line endings and plain decimal
-numbers:
+CSV formats, both with UTF-8 text (a leading byte-order mark is
+accepted), LF line endings and plain decimal numbers:
 
 * labeled scores: header ``score,label`` with label -1 (negative) or
   1 (positive), one record per line;
@@ -57,55 +57,61 @@ class CsvFormatError(ValueError):
     """A score file does not follow the documented CSV format."""
 
 
-@dataclass(frozen=True)
+def _score_array(scores, unit: str) -> np.ndarray:
+    """Read-only float64 copy of a non-empty, one-dimensional run of finite scores."""
+    array = np.array(scores, dtype=np.float64)
+    if array.ndim != 1:
+        raise ValueError(f"scores must be one-dimensional, got shape {array.shape}")
+    if array.size == 0:
+        raise ValueError(f"sample must contain at least one {unit}")
+    finite = np.isfinite(array)
+    if not finite.all():
+        raise ValueError(f"scores must be finite, got {array[np.argmin(finite)].item()!r}")
+    array.flags.writeable = False
+    return array
+
+
 class LabeledSample:
-    """Finite labeled sample: (score, label) records with labels -1 or 1."""
+    """Finite labeled sample: read-only float64 scores and int8 labels -1 or 1."""
 
-    records: tuple[tuple[float, int], ...]
+    __slots__ = ("_scores", "_labels")
 
-    def __post_init__(self) -> None:
-        records = tuple((float(s), int(l)) for s, l in self.records)
-        object.__setattr__(self, "records", records)
-        if not records:
-            raise ValueError("sample must contain at least one record")
-        for score, label in records:
-            if not math.isfinite(score):
-                raise ValueError(f"scores must be finite, got {score!r}")
-            if label not in (NEGATIVE_LABEL, POSITIVE_LABEL):
-                raise ValueError(f"labels must be -1 or 1, got {label!r}")
+    def __init__(self, scores, labels) -> None:
+        scores = _score_array(scores, "record")
+        labels = np.asarray(labels)
+        if labels.shape != scores.shape:
+            raise ValueError(f"expected {scores.size} labels, one per score, got shape {labels.shape}")
+        # Checked before the int8 cast, so that 255 or 1.5 cannot pass as -1 or 1.
+        bad = (labels != NEGATIVE_LABEL) & (labels != POSITIVE_LABEL)
+        if bad.any():
+            raise ValueError(f"labels must be -1 or 1, got {labels[np.argmax(bad)].item()!r}")
+        self._scores = scores
+        self._labels = labels.astype(np.int8)
+        self._labels.flags.writeable = False
 
     @property
     def n(self) -> int:
-        return len(self.records)
+        return len(self._scores)
 
     def scores(self) -> np.ndarray:
-        return np.array([s for s, _ in self.records])
+        return self._scores
 
     def labels(self) -> np.ndarray:
-        return np.array([l for _, l in self.records])
+        return self._labels
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreSample:
-    """Finite unlabeled sample of scores."""
+    """Finite unlabeled sample: a read-only float64 array of scores."""
 
-    scores: tuple[float, ...]
+    scores: np.ndarray
 
     def __post_init__(self) -> None:
-        scores = tuple(float(s) for s in self.scores)
-        object.__setattr__(self, "scores", scores)
-        if not scores:
-            raise ValueError("sample must contain at least one score")
-        for score in scores:
-            if not math.isfinite(score):
-                raise ValueError(f"scores must be finite, got {score!r}")
+        object.__setattr__(self, "scores", _score_array(self.scores, "score"))
 
     @property
     def n(self) -> int:
         return len(self.scores)
-
-    def scores_array(self) -> np.ndarray:
-        return np.array(self.scores)
 
 
 def sample_binormal(model: BinormalModel, n: int, seed: int) -> LabeledSample:
@@ -124,7 +130,17 @@ def sample_binormal(model: BinormalModel, n: int, seed: int) -> LabeledSample:
     z = std_normal_quantile(u_score)
     scores = np.where(is_positive, model.nu, model.mu) + model.sigma * z
     labels = np.where(is_positive, POSITIVE_LABEL, NEGATIVE_LABEL)
-    return LabeledSample(records=tuple(zip(scores.tolist(), labels.tolist())))
+    return LabeledSample(scores, labels)
+
+
+def _class_split(sample: LabeledSample, task: str) -> tuple[np.ndarray, int, int]:
+    """Positive mask and the two class counts; ``task`` needs both classes present."""
+    positive = sample.labels() == POSITIVE_LABEL
+    n_pos = int(np.count_nonzero(positive))
+    n_neg = sample.n - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError(f"{task} needs at least one record of each class")
+    return positive, n_pos, n_neg
 
 
 def estimate_rates(sample: LabeledSample, classifier: ThresholdClassifier) -> Rates:
@@ -133,14 +149,8 @@ def estimate_rates(sample: LabeledSample, classifier: ThresholdClassifier) -> Ra
     Scores equal to the threshold count as negative predictions, matching
     the strict inequality of the rule.  Requires both classes present.
     """
-    scores = sample.scores()
-    labels = sample.labels()
-    positive = labels == POSITIVE_LABEL
-    n_pos = int(np.count_nonzero(positive))
-    n_neg = sample.n - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("rate estimation needs at least one record of each class")
-    flagged = scores > classifier.threshold
+    positive, n_pos, n_neg = _class_split(sample, "rate estimation")
+    flagged = sample.scores() > classifier.threshold
     tpr = float(np.count_nonzero(flagged & positive)) / n_pos
     fpr = float(np.count_nonzero(flagged & ~positive)) / n_neg
     return Rates(tpr=tpr, fpr=fpr)
@@ -161,7 +171,7 @@ def quantify_sample(
 
 def _flagged_fraction(target: ScoreSample, classifier: ThresholdClassifier) -> float:
     """Share of the sample the rule flags positive: the classify-and-count estimate."""
-    flagged = target.scores_array() > classifier.threshold
+    flagged = target.scores > classifier.threshold
     return float(np.count_nonzero(flagged)) / target.n
 
 
@@ -172,13 +182,8 @@ def fit_binormal(sample: LabeledSample) -> BinormalModel:
     within-class variance, prior from the positive fraction.  Requires
     both classes present and enough spread for a positive sigma.
     """
+    positive, n_pos, _ = _class_split(sample, "model fitting")
     scores = sample.scores()
-    labels = sample.labels()
-    positive = labels == POSITIVE_LABEL
-    n_pos = int(np.count_nonzero(positive))
-    n_neg = sample.n - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("model fitting needs at least one record of each class")
     nu = float(np.mean(scores[positive]))
     mu = float(np.mean(scores[~positive]))
     pooled_ss = float(np.sum((scores[positive] - nu) ** 2)) + float(
@@ -210,68 +215,60 @@ def _parse_score(token: str, path: str, lineno: int) -> float:
     return value
 
 
-def _data_lines(path: str):
-    with open(path, encoding="utf-8") as handle:
+def _data_rows(path: str, header: str):
+    """Yield (line number, fields) of each data row after ``header``, skipping blank
+    lines and ``#`` comments; format violations raise ``CsvFormatError``."""
+    n_fields = header.count(",") + 1
+    header_seen = row_seen = False
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             for lineno, raw in enumerate(handle, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
                     continue
-                yield lineno, line
+                if not header_seen:
+                    if line != header:
+                        raise CsvFormatError(
+                            f"{path}:{lineno}: expected header {header!r}, got {line!r}"
+                        )
+                    header_seen = True
+                    continue
+                fields = line.split(",")
+                if len(fields) != n_fields:
+                    plural = "s" if n_fields > 1 else ""
+                    raise CsvFormatError(
+                        f"{path}:{lineno}: expected {n_fields} field{plural}, got {len(fields)}"
+                    )
+                row_seen = True
+                yield lineno, fields
         except UnicodeDecodeError as exc:
             raise CsvFormatError(f"{path}: {exc}") from None
+    if not header_seen:
+        raise CsvFormatError(f"{path}: missing {header!r} header")
+    if not row_seen:
+        raise CsvFormatError(f"{path}: no data rows")
 
 
 def read_labeled_csv(path: str) -> LabeledSample:
     """Read a labeled sample from a ``score,label`` CSV file."""
-    records: list[tuple[float, int]] = []
-    header_seen = False
-    for lineno, line in _data_lines(path):
-        if not header_seen:
-            if line != _LABELED_HEADER:
-                raise CsvFormatError(
-                    f"{path}:{lineno}: expected header {_LABELED_HEADER!r}, got {line!r}"
-                )
-            header_seen = True
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise CsvFormatError(f"{path}:{lineno}: expected 2 fields, got {len(parts)}")
-        score = _parse_score(parts[0], path, lineno)
+    scores: list[float] = []
+    labels: list[int] = []
+    for lineno, (score, label) in _data_rows(path, _LABELED_HEADER):
+        scores.append(_parse_score(score, path, lineno))
         try:
-            label = int(parts[1])
+            value = int(label)
         except ValueError:
-            raise CsvFormatError(f"{path}:{lineno}: invalid label {parts[1]!r}") from None
-        if label not in (NEGATIVE_LABEL, POSITIVE_LABEL):
-            raise CsvFormatError(f"{path}:{lineno}: label must be -1 or 1, got {parts[1]!r}")
-        records.append((score, label))
-    if not header_seen:
-        raise CsvFormatError(f"{path}: missing {_LABELED_HEADER!r} header")
-    if not records:
-        raise CsvFormatError(f"{path}: no data rows")
-    return LabeledSample(records=tuple(records))
+            raise CsvFormatError(f"{path}:{lineno}: invalid label {label!r}") from None
+        if value not in (NEGATIVE_LABEL, POSITIVE_LABEL):
+            raise CsvFormatError(f"{path}:{lineno}: label must be -1 or 1, got {label!r}")
+        labels.append(value)
+    return LabeledSample(scores, labels)
 
 
 def read_score_csv(path: str) -> ScoreSample:
     """Read an unlabeled sample from a ``score`` CSV file."""
-    scores: list[float] = []
-    header_seen = False
-    for lineno, line in _data_lines(path):
-        if not header_seen:
-            if line != _SCORE_HEADER:
-                raise CsvFormatError(
-                    f"{path}:{lineno}: expected header {_SCORE_HEADER!r}, got {line!r}"
-                )
-            header_seen = True
-            continue
-        if "," in line:
-            raise CsvFormatError(f"{path}:{lineno}: expected 1 field, got {line.count(',') + 1}")
-        scores.append(_parse_score(line, path, lineno))
-    if not header_seen:
-        raise CsvFormatError(f"{path}: missing {_SCORE_HEADER!r} header")
-    if not scores:
-        raise CsvFormatError(f"{path}: no data rows")
-    return ScoreSample(scores=tuple(scores))
+    rows = _data_rows(path, _SCORE_HEADER)
+    return ScoreSample(scores=[_parse_score(score, path, lineno) for lineno, (score,) in rows])
 
 
 def write_labeled_csv(sample: LabeledSample, path: str, comment: str | None = None) -> None:
@@ -280,7 +277,7 @@ def write_labeled_csv(sample: LabeledSample, path: str, comment: str | None = No
         if comment:
             handle.write(f"# {comment}\n")
         handle.write(_LABELED_HEADER + "\n")
-        for score, label in sample.records:
+        for score, label in zip(sample.scores().tolist(), sample.labels().tolist()):
             handle.write(f"{score!r},{label}\n")
 
 
@@ -290,5 +287,5 @@ def write_score_csv(sample: ScoreSample, path: str, comment: str | None = None) 
         if comment:
             handle.write(f"# {comment}\n")
         handle.write(_SCORE_HEADER + "\n")
-        for score in sample.scores:
+        for score in sample.scores.tolist():
             handle.write(f"{score!r}\n")

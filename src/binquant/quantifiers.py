@@ -41,7 +41,7 @@ from .binormal import (
     std_normal_cdf,
 )
 from .metrics import (CostParams, NasVariant, QConfig, _check_beta, _check_unit_interval,
-                      _f_formula, _q_formula, nas, nas_star, shifted_prevalence)
+                      _f_formula, _q_formula, error_bound, nas, nas_star, shifted_prevalence)
 
 __all__ = [
     "DegenerateCostError",
@@ -167,13 +167,14 @@ def threshold_for_positive_mass(model: BinormalModel, u: float) -> ThresholdClas
 
 
 def _optimized(
-    model: BinormalModel, classifier: ThresholdClassifier, objective_value: float
+    model: BinormalModel, classifier: ThresholdClassifier, objective
 ) -> OptimizedClassifier:
+    """The rule with its exact rates; ``objective`` maps those rates to its objective value."""
     rates = classifier_rates(model, classifier)
     return OptimizedClassifier(
         classifier=classifier,
         u_star=shifted_prevalence(rates, model.p),
-        objective_value=objective_value,
+        objective_value=objective(rates),
         rates=rates,
     )
 
@@ -188,8 +189,7 @@ def minimax_classifier(model: BinormalModel) -> OptimizedClassifier:
     point.  ``objective_value`` is the balanced error level.
     """
     classifier = ThresholdClassifier((model.mu + model.nu) / 2.0)
-    rates = classifier_rates(model, classifier)
-    return _optimized(model, classifier, max(rates.fpr, rates.fnr))
+    return _optimized(model, classifier, error_bound)
 
 
 def locally_best_classifier(model: BinormalModel) -> OptimizedClassifier:
@@ -200,8 +200,7 @@ def locally_best_classifier(model: BinormalModel) -> OptimizedClassifier:
     prior equals the training prior.  ``objective_value`` is max(fpr, fnr).
     """
     classifier = threshold_for_positive_mass(model, model.p)
-    rates = classifier_rates(model, classifier)
-    return _optimized(model, classifier, max(rates.fpr, rates.fnr))
+    return _optimized(model, classifier, error_bound)
 
 
 def _q_value(model: BinormalModel, tpr, u, b2: float, nas_variant: NasVariant):
@@ -332,7 +331,7 @@ def q_optimal_classifier(model: BinormalModel, config: QConfig) -> OptimizedClas
         hi,
         extra_masses=(model.p,),
     )
-    return _optimized(model, classifier, best_value)
+    return _optimized(model, classifier, lambda _: best_value)
 
 
 def f_optimal_classifier(model: BinormalModel, beta: float) -> OptimizedClassifier:
@@ -348,7 +347,7 @@ def f_optimal_classifier(model: BinormalModel, beta: float) -> OptimizedClassifi
         model, lambda tpr, u: _f_formula(model.p * tpr, model.p, u, b2),
         _MASS_EDGE, 1.0 - _MASS_EDGE,
     )
-    return _optimized(model, classifier, best_value)
+    return _optimized(model, classifier, lambda _: best_value)
 
 
 def classify_and_count(rates: Rates, w_true: float) -> float:

@@ -4,6 +4,8 @@ Commands run in-process through ``main(argv)``; files go to pytest tmp
 directories.  Determinism assertions compare bytes, not parsed values.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,7 @@ def sample_files(tmp_path_factory):
     target_path = str(root / "target.csv")
     write_labeled_csv(train, train_path, comment=f"{RNG_ALGORITHM}; seed=5 p=0.25")
     write_score_csv(
-        ScoreSample(scores=tuple(s for s, _ in target.records)),
+        ScoreSample(scores=target.scores()),
         target_path,
         comment=f"{RNG_ALGORITHM}; seed=11 p=0.6",
     )
@@ -174,7 +176,7 @@ class TestQuantify:
 
         sample = read_labeled_csv(train)
         same = str(tmp_path / "same.csv")
-        write_score_csv(ScoreSample(scores=tuple(s for s, _ in sample.records)), same)
+        write_score_csv(ScoreSample(scores=sample.scores()), same)
         main(["quantify", train, same, "--threshold", "1.0", "--method", "cc"])
         out = capsys.readouterr().out
         cc = float(next(l for l in out.splitlines() if l.startswith("cc=")).split("=")[1])
@@ -194,6 +196,18 @@ class TestQuantify:
         train, target = sample_files
         code = main(["quantify", train, target, "--rule", "minimax", "--mu", "0.0"])
         assert code == EXIT_USAGE
+
+    def test_byte_order_mark_accepted(self, sample_files, tmp_path, capsys):
+        """Files that start with a UTF-8 BOM give the same estimates."""
+        with_bom = []
+        for source, name in zip(sample_files, ("train.csv", "target.csv")):
+            path = tmp_path / name
+            path.write_bytes(b"\xef\xbb\xbf" + Path(source).read_bytes())
+            with_bom.append(str(path))
+        assert main(["quantify", *sample_files, "--rule", "locally-best"]) == EXIT_OK
+        plain = capsys.readouterr().out
+        assert main(["quantify", *with_bom, "--rule", "locally-best"]) == EXIT_OK
+        assert capsys.readouterr().out.replace(with_bom[0], sample_files[0]) == plain
 
     def test_parse_error_exits_with_data_code(self, sample_files, tmp_path):
         _, target = sample_files

@@ -40,12 +40,13 @@ class TestSampleBinormal:
     def test_deterministic_under_seed(self):
         a = sample_binormal(DEFAULT_MODEL, 500, seed=3)
         b = sample_binormal(DEFAULT_MODEL, 500, seed=3)
-        assert a.records == b.records
+        assert np.array_equal(a.scores(), b.scores()) and np.array_equal(a.labels(), b.labels())
 
     def test_different_seeds_differ(self):
         a = sample_binormal(DEFAULT_MODEL, 500, seed=3)
         b = sample_binormal(DEFAULT_MODEL, 500, seed=4)
-        assert a.records != b.records
+        same = np.array_equal(a.scores(), b.scores()) and np.array_equal(a.labels(), b.labels())
+        assert not same
 
     def test_single_record(self):
         sample = sample_binormal(DEFAULT_MODEL, 1, seed=0)
@@ -92,23 +93,23 @@ class TestSampleBinormal:
 
 class TestEstimateRates:
     def test_separated_sample(self):
-        sample = LabeledSample(records=((2.0, 1), (3.0, 1), (-1.0, -1), (0.0, -1)))
+        sample = LabeledSample([2.0, 3.0, -1.0, 0.0], [1, 1, -1, -1])
         rates = estimate_rates(sample, ThresholdClassifier(1.0))
         assert rates.tpr == 1.0
         assert rates.fpr == 0.0
 
     def test_tie_at_threshold_counts_negative(self):
-        sample = LabeledSample(records=((1.0, 1), (2.0, 1), (0.0, -1)))
+        sample = LabeledSample([1.0, 2.0, 0.0], [1, 1, -1])
         rates = estimate_rates(sample, ThresholdClassifier(1.0))
         assert rates.tpr == 0.5
 
     def test_single_positive_below(self):
-        sample = LabeledSample(records=((0.5, 1), (0.0, -1)))
+        sample = LabeledSample([0.5, 0.0], [1, -1])
         rates = estimate_rates(sample, ThresholdClassifier(1.0))
         assert rates.tpr == 0.0
 
     def test_requires_both_classes(self):
-        sample = LabeledSample(records=((0.5, 1), (1.5, 1)))
+        sample = LabeledSample([0.5, 1.5], [1, 1])
         with pytest.raises(ValueError):
             estimate_rates(sample, ThresholdClassifier(1.0))
 
@@ -153,12 +154,12 @@ class TestFitBinormal:
         assert abs(fit.p - 0.25) < 0.005
 
     def test_rejects_reversed_class_means(self):
-        sample = LabeledSample(records=((2.0, -1), (3.0, -1), (-1.0, 1), (0.0, 1)))
+        sample = LabeledSample([2.0, 3.0, -1.0, 0.0], [-1, -1, 1, 1])
         with pytest.raises(ValueError):
             fit_binormal(sample)
 
     def test_requires_both_classes(self):
-        sample = LabeledSample(records=((0.5, 1), (1.5, 1)))
+        sample = LabeledSample([0.5, 1.5], [1, 1])
         with pytest.raises(ValueError):
             fit_binormal(sample)
 
@@ -166,19 +167,70 @@ class TestFitBinormal:
 class TestSampleValidation:
     def test_labeled_sample_rejects_bad_label(self):
         with pytest.raises(ValueError):
-            LabeledSample(records=((0.5, 0),))
+            LabeledSample([0.5], [0])
 
     def test_labeled_sample_rejects_nonfinite_score(self):
         with pytest.raises(ValueError):
-            LabeledSample(records=((math.nan, 1),))
+            LabeledSample([math.nan], [1])
 
     def test_labeled_sample_rejects_empty(self):
         with pytest.raises(ValueError):
-            LabeledSample(records=())
+            LabeledSample([], [])
 
     def test_score_sample_rejects_empty(self):
         with pytest.raises(ValueError):
             ScoreSample(scores=())
+
+    @pytest.mark.parametrize("labels", [[1.5], [255], np.array([255], dtype=np.uint8)])
+    def test_labeled_sample_rejects_labels_that_cast_to_units(self, labels):
+        """1.5 would truncate to 1 and 255 would wrap to -1 in int8."""
+        with pytest.raises(ValueError, match="labels must be -1 or 1, got (1.5|255)"):
+            LabeledSample([0.5], labels)
+
+    def test_error_names_first_bad_value(self):
+        with pytest.raises(ValueError, match="got inf"):
+            ScoreSample(scores=[1.0, math.inf, math.nan])
+        with pytest.raises(ValueError, match="got 0"):
+            LabeledSample([0.5, 1.5, 2.5], [1, 0, 2])
+
+    def test_labeled_sample_rejects_label_count_mismatch(self):
+        with pytest.raises(ValueError):
+            LabeledSample([0.5, 1.5], [1])
+
+    def test_score_sample_rejects_nested_scores(self):
+        with pytest.raises(ValueError):
+            ScoreSample(scores=[[0.5, 1.5]])
+
+
+class TestArrayStorage:
+    def test_arrays_are_read_only(self):
+        sample = LabeledSample([0.5, 1.5], [-1, 1])
+        target = ScoreSample(scores=[0.5, 1.5])
+        for array in (sample.scores(), sample.labels(), target.scores):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_constructors_copy_their_input(self):
+        scores = np.array([0.5, 1.5])
+        labels = np.array([-1, 1], dtype=np.int8)
+        sample = LabeledSample(scores, labels)
+        target = ScoreSample(scores=scores)
+        scores[0] = 9.0
+        labels[0] = 1
+        assert np.array_equal(sample.scores(), [0.5, 1.5])
+        assert np.array_equal(sample.labels(), [-1, 1])
+        assert np.array_equal(target.scores, [0.5, 1.5])
+
+    def test_accessors_return_the_stored_arrays(self):
+        sample = sample_binormal(DEFAULT_MODEL, 10, seed=0)
+        assert sample.scores() is sample.scores()
+        assert sample.labels() is sample.labels()
+
+    def test_dtypes(self):
+        sample = sample_binormal(DEFAULT_MODEL, 10, seed=0)
+        assert sample.scores().dtype == np.float64
+        assert sample.labels().dtype == np.int8
+        assert ScoreSample(scores=[1, 2]).scores.dtype == np.float64
 
 
 class TestCsvRoundTrip:
@@ -187,14 +239,15 @@ class TestCsvRoundTrip:
         path = str(tmp_path / "labeled.csv")
         write_labeled_csv(sample, path, comment="round trip")
         back = read_labeled_csv(path)
-        assert back.records == sample.records
+        assert np.array_equal(back.scores(), sample.scores())
+        assert np.array_equal(back.labels(), sample.labels())
 
     def test_score_round_trip_is_exact(self, tmp_path):
         scores = ScoreSample(scores=(0.1, -2.5, 1e-17, 3.141592653589793))
         path = str(tmp_path / "scores.csv")
         write_score_csv(scores, path)
         back = read_score_csv(path)
-        assert back.scores == scores.scores
+        assert np.array_equal(back.scores, scores.scores)
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         sample = sample_binormal(DEFAULT_MODEL, 32, seed=1)
@@ -204,11 +257,22 @@ class TestCsvRoundTrip:
         write_labeled_csv(sample, p2, comment="x")
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        labeled = tmp_path / "labeled.csv"
+        labeled.write_text("\ufeffscore,label\n1.5,1\n-0.5,-1\n", encoding="utf-8")
+        sample = read_labeled_csv(str(labeled))
+        assert np.array_equal(sample.scores(), [1.5, -0.5])
+        assert np.array_equal(sample.labels(), [1, -1])
+        scores = tmp_path / "scores.csv"
+        scores.write_text("\ufeffscore\n0.25\n", encoding="utf-8")
+        assert np.array_equal(read_score_csv(str(scores)).scores, [0.25])
+
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("# generated elsewhere\n\nscore,label\n1.5,1\n\n# trailing note\n-0.5,-1\n")
         sample = read_labeled_csv(str(path))
-        assert sample.records == ((1.5, 1), (-0.5, -1))
+        assert np.array_equal(sample.scores(), [1.5, -0.5])
+        assert np.array_equal(sample.labels(), [1, -1])
 
 
 class TestCsvErrors:
