@@ -250,10 +250,15 @@ def posterior(model: BinormalModel, x: float) -> float:
     return weighted / (weighted + 1.0 - model.p)
 
 
-def _score_at_posterior(model: BinormalModel, q: float) -> float:
-    """Score at which the posterior equals q in (0, 1): z = d / 2 + (logit q - logit p) / d."""
+def _z_at_posterior(model: BinormalModel, q: float) -> float:
+    """z-score at which the posterior equals q in (0, 1): d / 2 + (logit q - logit p) / d."""
     logit_gap = math.log(q * (1.0 - model.p) / ((1.0 - q) * model.p))
-    return model.score(0.5 * model.d + logit_gap / model.d)
+    return 0.5 * model.d + logit_gap / model.d
+
+
+def _score_at_posterior(model: BinormalModel, q: float) -> float:
+    """Score at which the posterior equals q in (0, 1)."""
+    return model.score(_z_at_posterior(model, q))
 
 
 def classifier_rates(model: BinormalModel, classifier: ThresholdClassifier) -> Rates:

@@ -40,8 +40,8 @@ from .empirical import (
     read_labeled_csv,
     read_score_csv,
 )
-from .metrics import (CostParams, NasVariant, QConfig, _check_beta, prediction_error,
-                      shifted_prevalence)
+from .metrics import (ConfusionProbs, CostParams, NasVariant, QConfig, _check_beta,
+                      misclassification_cost, prediction_error, shifted_prevalence)
 from .quantifiers import (
     bayes_classifier,
     f_optimal_classifier,
@@ -205,12 +205,13 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
     rows: list[tuple[str, float, float, float, float, float]] = []
     bayes_rates = classifier_rates(model, bayes)
-    bayes_cost = cost.fn_cost * model.p * (1.0 - bayes_rates.tpr) + cost.fp_cost * (
-        1.0 - model.p
-    ) * bayes_rates.fpr
+    bayes_mass = shifted_prevalence(bayes_rates, model.p)
+    bayes_cost = misclassification_cost(cost, ConfusionProbs(
+        p_pos_and_pred=model.p * bayes_rates.tpr, p_neg_and_pred=(1.0 - model.p) * bayes_rates.fpr,
+        p_pos=model.p, p_pred=bayes_mass,
+    ))
     rows.append((
-        "bayes", bayes.threshold, shifted_prevalence(bayes_rates, model.p),
-        bayes_rates.tpr, bayes_rates.fpr, bayes_cost,
+        "bayes", bayes.threshold, bayes_mass, bayes_rates.tpr, bayes_rates.fpr, bayes_cost,
     ))
     for name, opt in (("minimax", minimax_classifier(model)),
                       ("locally_best", locally_best_classifier(model))):

@@ -18,9 +18,11 @@ Estimation side: ``classify_and_count`` maps a shifted positive prior to
 the mass a fixed classifier will flag, and ``adjusted_count`` inverts
 that affine map to recover the prior from an observed flagged mass.
 
-Everything is deterministic; the scalar maximizations use a fixed-width
-grid scan over the predicted-positive mass, inverted to z-scores once,
-followed by golden-section refinement in z.
+Everything is deterministic.  The two maximizations solve stationarity
+conditions in z instead of comparing objective values: the F optimum
+thresholds the posterior at F* / (1 + beta^2) (the theorem of Ye et al.,
+2012), found as a fixed point, and the Q optimum is the sign change of
+posterior * c * nas^2 - beta^2 p tpr^2, found by bisection.
 """
 
 from __future__ import annotations
@@ -34,8 +36,10 @@ from .binormal import (
     BinormalModel,
     Rates,
     ThresholdClassifier,
+    _ULPS,
     _score_at_posterior,
     _upper_mass,
+    _z_at_posterior,
     _z_at_upper_mass,
     classifier_rates,
     std_normal_cdf,
@@ -59,13 +63,6 @@ __all__ = [
     "classify_and_count",
     "adjusted_count",
 ]
-
-# Scalar maximization scheme: grid scan at this resolution to locate the
-# basin, then golden-section refinement until the bracket spans at most the
-# predicted-positive mass below.
-_SCAN_POINTS = 512
-_REFINE_WIDTH = 1e-8
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Open-interval guard for predicted-positive masses: thresholds exist only
 # for masses strictly inside (0, 1).
@@ -229,12 +226,16 @@ def q_measure_of_mass(model: BinormalModel, u, beta: float, nas_variant: NasVari
 
     Recall is Phi(d - z(u)) with z(u) the z-score of the mass-u cut-point;
     the calibration score is the chosen normalized absolute score of u
-    against the prior.  Defined as 0 at u = 0 and u = 1, the limits of the
-    measure at the constant classifiers.  Vectorizes over ``u``.
+    against the prior.  At u = 0 and u = 1 it takes its limits at the
+    constant classifiers: 0 at u = 0, and at u = 1 the all-positive value
+    (1 + beta^2) n / (beta^2 + n) with n the calibration score of u = 1,
+    which is 0 except for ``nas`` with p > 1/2, where n = (2p - 1) / p.
+    Vectorizes over ``u``.
     """
     b2 = _check_beta(beta)
     return _measure_of_mass(
-        model, u, lambda tpr, ui: _q_value(model, tpr, ui, b2, nas_variant), 0.0
+        model, u, lambda tpr, ui: _q_value(model, tpr, ui, b2, nas_variant),
+        float(_q_value(model, 1.0, 1.0, b2, nas_variant)),
     )
 
 
@@ -253,101 +254,85 @@ def f_measure_of_mass(model: BinormalModel, u, beta: float):
     )
 
 
-def _golden_max(f, lo: float, hi: float, width) -> tuple[float, float]:
-    """Golden-section maximization on [lo, hi] until ``width(a, b)`` <= 1e-8.
-
-    On ties the left subinterval is kept, so among equal maxima the
-    smallest abscissa wins.
-    """
-    a, b = lo, hi
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while width(a, b) > _REFINE_WIDTH:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def _maximize_over_mass(
-    model: BinormalModel, value, lo: float, hi: float, extra_masses: tuple[float, ...] = ()
-) -> tuple[ThresholdClassifier, float]:
-    """Maximize ``value(tpr, u)`` over cut-points with mass u in [lo, hi].
-
-    A grid scan over u, inverted to z-scores once, locates the basin.
-    Golden-section refinement inside the bracketing cell then runs over
-    s = -z, which increases with the mass, and evaluates masses and
-    recalls in closed form; it stops once the bracket spans at most 1e-8
-    of mass.  The listed extra masses are compared explicitly.
-    Deterministic; among equal values the smallest mass wins.
-    """
-    d = model.d
-
-    def objective(z):
-        return value(std_normal_cdf(d - z), _upper_mass(model, z))
-
-    grid_z = _z_at_upper_mass(model, np.linspace(lo, hi, _SCAN_POINTS))
-    values = objective(grid_z)
-    i = int(np.argmax(values))
-    refined_s, refined_value = _golden_max(
-        lambda s: float(objective(-s)),
-        -float(grid_z[max(i - 1, 0)]),
-        -float(grid_z[min(i + 1, len(grid_z) - 1)]),
-        lambda a, b: float(_upper_mass(model, -b) - _upper_mass(model, -a)),
-    )
-    candidates = [(float(grid_z[i]), float(values[i])), (-refined_s, refined_value)]
-    for mass in extra_masses:
-        z = float(_z_at_upper_mass(model, mass))
-        candidates.append((z, float(objective(z))))
-    # The largest z flags the smallest mass.
-    best_z, best_value = min(candidates, key=lambda pair: (-pair[1], -pair[0]))
-    return ThresholdClassifier(float(model.score(best_z))), best_value
-
-
 def q_optimal_classifier(model: BinormalModel, config: QConfig) -> OptimizedClassifier:
     """Cut-point maximizing the Q measure over predicted-positive masses.
 
-    The search runs over u in [p, 1), the masses at which the classifier
-    does not under-predict the training prior; the measure cannot do
-    better below p.  The calibration term is kinked at u = p, so that
-    point is always evaluated explicitly alongside the smooth interior
-    optimum.  ``objective_value`` is the attained Q value.
+    The search runs over u in [p, 1 - 1e-9], the masses at which the
+    classifier does not under-predict the training prior; the measure
+    cannot do better below p.  The all-positive rule u = 1 has no finite
+    cut-point, so when Q still rises at u = 1 - 1e-9 (possible only for
+    ``nas`` with p > 1/2) that end cut is returned.
+
+    On u >= p the calibration score is nas = 1 - (u - p) / c, with
+    c = 1 - p for ``nas_star`` and c = max(p, 1 - p) for ``nas``, and
+    Q = (1 + beta^2) / (beta^2 / nas + 1 / tpr).  Q rises with u exactly
+    where posterior * c * nas^2 > beta^2 p tpr^2, so an interior optimum
+    satisfies posterior * c * nas^2 = beta^2 p tpr^2.  The sign of the log
+    of that ratio is checked at the kink u = p, where Q is returned if it
+    already falls, and at the far end, and otherwise bisected in z to a
+    few ulp.  ``objective_value`` is the attained Q value.
     """
     b2 = _check_beta(config.beta)
+    p, d = model.p, model.d
+    if config.nas_variant is NasVariant.NAS_STAR:
+        c, shift = 1.0 - p, 0.0
+    else:
+        c, shift = max(p, 1.0 - p), max(2.0 * p - 1.0, 0.0)
+    log_offset = math.log(c) + math.log(b2 * p)
+    logit_p = math.log(p / (1.0 - p))
+
+    def rises(z: float) -> float:
+        """log(posterior c nas^2 / (beta^2 p tpr^2)) at z; positive where Q rises with u."""
+        # c nas = 1 - u + shift, where 1 - u is the mixture CDF at z, formed without cancellation.
+        c_nas = p * std_normal_cdf(z - d) + (1.0 - p) * std_normal_cdf(z) + shift
+        log_posterior = -float(np.logaddexp(0.0, -(logit_p + d * (z - 0.5 * d))))
+        return log_posterior + 2.0 * (math.log(c_nas) - math.log(std_normal_cdf(d - z))) - log_offset
+
     hi = 1.0 - _MASS_EDGE
-    if hi <= model.p:
-        hi = 0.5 * (model.p + 1.0)
-    classifier, best_value = _maximize_over_mass(
-        model,
-        lambda tpr, u: _q_value(model, tpr, u, b2, config.nas_variant),
-        model.p,
-        hi,
-        extra_masses=(model.p,),
-    )
-    return _optimized(model, classifier, lambda _: best_value)
+    if hi <= p:
+        hi = 0.5 * (p + 1.0)
+    z_kink = float(_z_at_upper_mass(model, p))
+    z_end = float(_z_at_upper_mass(model, hi))
+    if rises(z_kink) <= 0.0:
+        z = z_kink
+    elif rises(z_end) >= 0.0:
+        z = z_end
+    else:
+        # rises() is negative at z_end and positive at z_kink; u falls as z grows.
+        lo, up = z_end, z_kink
+        while up - lo > _ULPS * (1.0 + abs(lo)):
+            mid = 0.5 * (lo + up)
+            if rises(mid) > 0.0:
+                up = mid
+            else:
+                lo = mid
+        z = 0.5 * (lo + up)
+    value = float(_q_value(model, std_normal_cdf(d - z), _upper_mass(model, z), b2, config.nas_variant))
+    return _optimized(model, ThresholdClassifier(float(model.score(z))), lambda _: value)
 
 
 def f_optimal_classifier(model: BinormalModel, beta: float) -> OptimizedClassifier:
     """Cut-point maximizing the F measure over predicted-positive masses.
 
-    Over the threshold family the measure is a smooth function of the
-    predicted-positive mass; the same grid-then-golden-section scheme
-    locates its maximum over (0, 1).  ``objective_value`` is the attained
-    F value.
+    By the theorem of Ye et al. (2012) the F-optimal rule thresholds the
+    posterior at F* / (1 + beta^2).  That is solved as Dinkelbach's fixed
+    point: from the all-positive value lam = (1 + beta^2) p / (beta^2 p + 1),
+    cut at posterior lam / (1 + beta^2) in closed form and take the F value
+    of that cut as the next lam, until F no longer increases.  The cut from
+    the last lam is returned, and ``objective_value`` is its F value.
+    Where F is nearly flat up to the all-positive rule, the mass of the
+    returned cut can round to 1.
     """
     b2 = _check_beta(beta)
-    classifier, best_value = _maximize_over_mass(
-        model, lambda tpr, u: _f_formula(model.p * tpr, model.p, u, b2),
-        _MASS_EDGE, 1.0 - _MASS_EDGE,
-    )
-    return _optimized(model, classifier, lambda _: best_value)
+    p = model.p
+    lam = _f_formula(p, p, 1.0, b2)
+    while True:
+        z = _z_at_posterior(model, lam / (1.0 + b2))
+        value = float(_f_formula(p * std_normal_cdf(model.d - z), p, _upper_mass(model, z), b2))
+        if not value > lam:
+            break
+        lam = value
+    return _optimized(model, ThresholdClassifier(float(model.score(z))), lambda _: value)
 
 
 def classify_and_count(rates: Rates, w_true: float) -> float:

@@ -45,12 +45,13 @@ class TestQcurveFigure:
         p2 = str(tmp_path / "b.csv")
         assert main(["figure-qcurve", "--out", p1]) == EXIT_OK
         assert main(["figure-qcurve", "--out", p2]) == EXIT_OK
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_header_comment_carries_parameters(self, tmp_path):
         path = str(tmp_path / "q.csv")
         main(["figure-qcurve", "--out", path])
-        first = open(path).readline()
+        with open(path) as handle:
+            first = handle.readline()
         assert first.startswith("# ")
         for token in ("mu=0", "nu=2", "sigma=1", "p=0.25", "beta=1,2", "nas=nas-star"):
             assert token in first
@@ -129,7 +130,7 @@ class TestOptimize:
     def test_csv_report(self, tmp_path):
         path = str(tmp_path / "opt.csv")
         assert main(["optimize", "--out", path]) == EXIT_OK
-        rows = open(path).read().splitlines()
+        rows = Path(path).read_text().splitlines()
         assert rows[1] == "name,threshold,u_star,tpr,fpr,objective"
         lb = next(r for r in rows if r.startswith("locally_best"))
         assert lb.split(",")[1].startswith("1.35957314")

@@ -6,6 +6,7 @@ is deterministic.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,7 +256,7 @@ class TestCsvRoundTrip:
         p2 = str(tmp_path / "b.csv")
         write_labeled_csv(sample, p1, comment="x")
         write_labeled_csv(sample, p2, comment="x")
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_byte_order_mark_accepted(self, tmp_path):
         labeled = tmp_path / "labeled.csv"

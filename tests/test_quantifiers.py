@@ -37,6 +37,9 @@ from binquant.quantifiers import (
 
 DEFAULT_MODEL = BinormalModel(mu=0.0, nu=2.0, sigma=1.0, p=0.25)
 
+# With nas and beta = 0.5, Q on this model rises all the way to u = 1.
+END_MODEL = BinormalModel(mu=0.0, nu=0.335, sigma=1.0, p=0.856)
+
 # Calibrated cut-point of the default model (predicted-positive mass 0.25)
 # and its exact rates.
 T_LOCALLY_BEST = 1.3595731419891028
@@ -193,6 +196,16 @@ class TestQMeasureOfMass:
         with pytest.raises(ValueError):
             q_measure_of_mass(DEFAULT_MODEL, 1.5, 1.0)
 
+    def test_all_positive_limit_of_plain_variant(self):
+        """With nas and p > 1/2, Q tends to (1 + b2) n / (b2 + n), n = (2p - 1) / p, as u -> 1."""
+        b2 = 0.25
+        n = (2.0 * END_MODEL.p - 1.0) / END_MODEL.p
+        at_full = q_measure_of_mass(END_MODEL, 1.0, 0.5, NasVariant.NAS)
+        assert at_full == pytest.approx((1.0 + b2) * n / (b2 + n), rel=1e-15)
+        near_full = q_measure_of_mass(END_MODEL, 1.0 - 1e-12, 0.5, NasVariant.NAS)
+        assert abs(at_full - near_full) <= 1e-10
+        assert q_measure_of_mass(END_MODEL, 1.0, 0.5, NasVariant.NAS_STAR) == 0.0
+
 
 class TestQOptimalClassifier:
     def test_beta2_maximum_at_the_prior(self):
@@ -220,6 +233,16 @@ class TestQOptimalClassifier:
         grid = np.linspace(1e-6, 1.0 - 1e-6, 5_000)
         values = q_measure_of_mass(DEFAULT_MODEL, grid, 1.0, NasVariant.NAS)
         assert float(np.max(values)) <= result.objective_value + 1e-9
+
+    def test_rising_to_the_end_returns_the_end_cut(self):
+        """Where Q still rises at u = 1 - 1e-9, the search returns that end cut."""
+        result = q_optimal_classifier(END_MODEL, QConfig(beta=0.5, nas_variant=NasVariant.NAS))
+        end = threshold_for_positive_mass(END_MODEL, 1.0 - 1e-9)
+        assert result.classifier.threshold == end.threshold
+        assert result.u_star == pytest.approx(1.0 - 1e-9, abs=1e-15)
+        grid = np.linspace(END_MODEL.p, 1.0 - 1e-9, 2_001)
+        values = q_measure_of_mass(END_MODEL, grid, 0.5, NasVariant.NAS)
+        assert float(np.max(values)) <= result.objective_value
 
     def test_extreme_prior_still_converges(self):
         model = BinormalModel(mu=0.0, nu=2.0, sigma=1.0, p=0.999999999)
