@@ -23,11 +23,11 @@ matching shape; everything else is scalar.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "BinormalModel",
@@ -54,6 +54,15 @@ _EXP_CLAMP = 700.0
 _NEWTON_TOL = 1e-12
 _ULPS = 4.0 * np.finfo(float).eps
 _MAX_NEWTON_STEPS = 100
+
+
+@functools.cache
+def _special():
+    """``scipy.special``, imported on first use: runs that never evaluate the normal
+    model (``oracle``, ``quantify --threshold``) do not pay for the import."""
+    from scipy import special
+
+    return special
 
 
 @dataclass(frozen=True)
@@ -150,7 +159,7 @@ def _check_levels(u) -> np.ndarray:
 
 def std_normal_cdf(x):
     """Standard normal distribution function Phi, ``scipy.special.ndtr``; a float or an ndarray."""
-    out = special.ndtr(np.asarray(x, dtype=float))
+    out = _special().ndtr(np.asarray(x, dtype=float))
     return out if np.ndim(x) else float(out)
 
 
@@ -160,13 +169,13 @@ def std_normal_quantile(u):
     ``scipy.special.ndtri``, accurate to a few ulp; levels outside (0, 1)
     raise ``ValueError``.  Accepts a float or an ndarray.
     """
-    out = special.ndtri(_check_levels(u))
+    out = _special().ndtri(_check_levels(u))
     return out if np.ndim(u) else float(out)
 
 
 def _upper_mass(model: BinormalModel, z):
     """Mass above the z-score z, p Phi(d - z) + (1 - p) Phi(-z), to full relative accuracy."""
-    return model.p * special.ndtr(model.d - z) + (1.0 - model.p) * special.ndtr(-z)
+    return model.p * _special().ndtr(model.d - z) + (1.0 - model.p) * _special().ndtr(-z)
 
 
 def _z_at_mass(d: float, pos: float, neg: float, u: np.ndarray) -> np.ndarray:
@@ -181,12 +190,12 @@ def _z_at_mass(d: float, pos: float, neg: float, u: np.ndarray) -> np.ndarray:
     upper = u > 0.5
     pos, neg = np.where(upper, neg, pos), np.where(upper, pos, neg)
     u = np.where(upper, 1.0 - u, u)
-    z = lo = special.ndtri(u)
+    z = lo = _special().ndtri(u)
     hi = lo + d
     log_u = np.log(u)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_MAX_NEWTON_STEPS):
-            cdf = pos * special.ndtr(z - d) + neg * special.ndtr(z)
+            cdf = pos * _special().ndtr(z - d) + neg * _special().ndtr(z)
             pdf = (pos * np.exp(-0.5 * (z - d) ** 2) + neg * np.exp(-0.5 * z * z)) / _SQRT_2PI
             gap = np.log(cdf) - log_u
             lo = np.where(gap < 0.0, z, lo)
@@ -216,7 +225,7 @@ def mixture_cdf(model: BinormalModel, x):
     float or an ndarray.
     """
     z = model.z_score(np.asarray(x, dtype=float))
-    out = model.p * special.ndtr(z - model.d) + (1.0 - model.p) * special.ndtr(z)
+    out = model.p * _special().ndtr(z - model.d) + (1.0 - model.p) * _special().ndtr(z)
     return out if np.ndim(x) else float(out)
 
 
@@ -268,4 +277,4 @@ def classifier_rates(model: BinormalModel, classifier: ThresholdClassifier) -> R
     decrease in the threshold and tpr > fpr because d > 0.
     """
     z = model.z_score(classifier.threshold)
-    return Rates(tpr=float(special.ndtr(model.d - z)), fpr=float(special.ndtr(-z)))
+    return Rates(tpr=float(_special().ndtr(model.d - z)), fpr=float(_special().ndtr(-z)))

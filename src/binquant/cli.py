@@ -40,7 +40,7 @@ from .empirical import (
     read_labeled_csv,
     read_score_csv,
 )
-from .metrics import (ConfusionProbs, CostParams, NasVariant, QConfig, _check_beta,
+from .metrics import (CostParams, NasVariant, QConfig, _check_beta,
                       misclassification_cost, prediction_error, shifted_prevalence)
 from .quantifiers import (
     bayes_classifier,
@@ -206,10 +206,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     rows: list[tuple[str, float, float, float, float, float]] = []
     bayes_rates = classifier_rates(model, bayes)
     bayes_mass = shifted_prevalence(bayes_rates, model.p)
-    bayes_cost = misclassification_cost(cost, ConfusionProbs(
-        p_pos_and_pred=model.p * bayes_rates.tpr, p_neg_and_pred=(1.0 - model.p) * bayes_rates.fpr,
-        p_pos=model.p, p_pred=bayes_mass,
-    ))
+    bayes_cost = misclassification_cost(cost, bayes_rates, model.p)
     rows.append((
         "bayes", bayes.threshold, bayes_mass, bayes_rates.tpr, bayes_rates.fpr, bayes_cost,
     ))

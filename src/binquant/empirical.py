@@ -8,20 +8,24 @@ the class label and one for the score, and scores are
 second stream.  A reimplementation that matches the uniform stream
 therefore matches the samples bit for bit.
 
-CSV formats, both with UTF-8 text (a leading byte-order mark is
-accepted), LF line endings and plain decimal numbers:
+CSV formats, both UTF-8 text (a leading byte-order mark is accepted)
+with LF or CRLF line endings and one record per line:
 
 * labeled scores: header ``score,label`` with label -1 (negative) or
-  1 (positive), one record per line;
+  1 (positive);
 * bare scores: header ``score``.
 
-Readers skip blank lines and lines starting with ``#``; parse failures
-raise ``CsvFormatError`` naming the file, line number and offending
-token.
+Readers skip blank lines and lines starting with ``#``, and numpy's
+parser reads the fields, ignoring spaces around them.  A score is an
+ASCII decimal such as ``-1.5`` or ``2e-3`` (``nan`` and ``inf`` parse but
+are rejected), a label an ASCII integer, so ``+1``, `` -1`` and ``01``
+are labels; ``1_0`` and non-ASCII digits are invalid.  The first faulty
+line raises ``CsvFormatError`` naming the file, the line and the token.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -203,89 +207,104 @@ def fit_binormal(sample: LabeledSample) -> BinormalModel:
 
 _LABELED_HEADER = "score,label"
 _SCORE_HEADER = "score"
+_CHUNK_CHARS = 1 << 20  # the reader filters and converts about 1 MiB of lines at a time
+# Per field: its numpy type in a chunk and on one faulty line (labels as any int64 there,
+# so that 300 fails the value test and not the syntax), the value test and its fault.
+_FIELDS = {"score": ("f8", "f8", np.isfinite, "non-finite score"),
+           "label": ("i1", "i8", lambda label: np.isin(label, (NEGATIVE_LABEL, POSITIVE_LABEL)),
+                     "label must be -1 or 1, got")}
+_loadtxt = functools.partial(np.loadtxt, delimiter=",", comments=None, ndmin=1)
 
 
-def _parse_score(token: str, path: str, lineno: int) -> float:
+def _sound_rows(lines: list[str], dtype: np.dtype) -> np.ndarray | None:
+    """The lines converted by numpy, or None if one fails to convert or a value its test."""
     try:
-        value = float(token)
+        rows = _loadtxt(lines, dtype=dtype)
     except ValueError:
-        raise CsvFormatError(f"{path}:{lineno}: invalid score {token!r}") from None
-    if not math.isfinite(value):
-        raise CsvFormatError(f"{path}:{lineno}: non-finite score {token!r}")
-    return value
+        return None
+    return rows if all(_FIELDS[name][2](rows[name]).all() for name in dtype.names) else None
 
 
-def _data_rows(path: str, header: str):
-    """Yield (line number, fields) of each data row after ``header``, skipping blank
-    lines and ``#`` comments; format violations raise ``CsvFormatError``."""
-    n_fields = header.count(",") + 1
-    header_seen = row_seen = False
+def _line_fault(line: str, names: list[str]) -> str:
+    """What is wrong with one faulty data line: its field count, or the first field
+    whose syntax or value fails when numpy reads that field alone."""
+    tokens = line.split(",")
+    if len(tokens) != len(names):
+        return f"expected {len(names)} field{'s' if len(names) > 1 else ''}, got {len(tokens)}"
+    for column, (name, token) in enumerate(zip(names, tokens)):
+        _, dtype, test, fault = _FIELDS[name]
+        try:
+            value = _loadtxt([line], dtype=dtype, usecols=column)
+        except ValueError:
+            return f"invalid {name} {token!r}"
+        if not test(value).all():
+            return f"{fault} {token!r}"
+
+
+def _data_rows(path: str, header: str) -> np.ndarray:
+    """Every data row after ``header``, with a field per header name.  Python filters
+    the lines a chunk at a time (skipping blank lines and ``#`` comments, checking the
+    header) and numpy converts them, field count included; a faulty chunk is bisected,
+    so the first faulty line in file order raises ``CsvFormatError``."""
+    names = header.split(",")
+    dtype = np.dtype([(name, _FIELDS[name][0]) for name in names])
+    lineno, header_seen, parts = 1, False, []
     with open(path, encoding="utf-8-sig") as handle:
         try:
-            for lineno, raw in enumerate(handle, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if not header_seen:
-                    if line != header:
+            while chunk := handle.readlines(_CHUNK_CHARS):
+                lines = list(map(str.strip, chunk))
+                numbers = [n for n, line in enumerate(lines, lineno) if line and line[0] != "#"]
+                if len(numbers) < len(lines):
+                    lines = [lines[n - lineno] for n in numbers]
+                lineno += len(chunk)
+                if lines and not header_seen:
+                    if lines[0] != header:
                         raise CsvFormatError(
-                            f"{path}:{lineno}: expected header {header!r}, got {line!r}"
-                        )
+                            f"{path}:{numbers[0]}: expected header {header!r}, got {lines[0]!r}")
                     header_seen = True
-                    continue
-                fields = line.split(",")
-                if len(fields) != n_fields:
-                    plural = "s" if n_fields > 1 else ""
-                    raise CsvFormatError(
-                        f"{path}:{lineno}: expected {n_fields} field{plural}, got {len(fields)}"
-                    )
-                row_seen = True
-                yield lineno, fields
+                    del numbers[0], lines[0]
+                rows = _sound_rows(lines, dtype) if lines else np.empty(0, dtype)
+                lo, hi = 0, len(lines)  # bisect: lines[:lo] are sound, lines[:hi] are not
+                while rows is None and hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    lo, hi = (lo, mid) if _sound_rows(lines[lo:mid], dtype) is None else (mid, hi)
+                if rows is None:
+                    raise CsvFormatError(f"{path}:{numbers[lo]}: {_line_fault(lines[lo], names)}")
+                parts.append(rows)
         except UnicodeDecodeError as exc:
             raise CsvFormatError(f"{path}: {exc}") from None
     if not header_seen:
         raise CsvFormatError(f"{path}: missing {header!r} header")
-    if not row_seen:
+    if not sum(map(len, parts)):
         raise CsvFormatError(f"{path}: no data rows")
+    return np.concatenate(parts)
 
 
 def read_labeled_csv(path: str) -> LabeledSample:
     """Read a labeled sample from a ``score,label`` CSV file."""
-    scores: list[float] = []
-    labels: list[int] = []
-    for lineno, (score, label) in _data_rows(path, _LABELED_HEADER):
-        scores.append(_parse_score(score, path, lineno))
-        try:
-            value = int(label)
-        except ValueError:
-            raise CsvFormatError(f"{path}:{lineno}: invalid label {label!r}") from None
-        if value not in (NEGATIVE_LABEL, POSITIVE_LABEL):
-            raise CsvFormatError(f"{path}:{lineno}: label must be -1 or 1, got {label!r}")
-        labels.append(value)
-    return LabeledSample(scores, labels)
+    rows = _data_rows(path, _LABELED_HEADER)
+    return LabeledSample(rows["score"], rows["label"])
 
 
 def read_score_csv(path: str) -> ScoreSample:
     """Read an unlabeled sample from a ``score`` CSV file."""
-    rows = _data_rows(path, _SCORE_HEADER)
-    return ScoreSample(scores=[_parse_score(score, path, lineno) for lineno, (score,) in rows])
+    return ScoreSample(scores=_data_rows(path, _SCORE_HEADER)["score"])
 
 
 def write_labeled_csv(sample: LabeledSample, path: str, comment: str | None = None) -> None:
     """Write a labeled sample; floats use shortest round-trip notation."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        if comment:
-            handle.write(f"# {comment}\n")
-        handle.write(_LABELED_HEADER + "\n")
-        for score, label in zip(sample.scores().tolist(), sample.labels().tolist()):
-            handle.write(f"{score!r},{label}\n")
+    rows = zip(sample.scores().tolist(), sample.labels().tolist())
+    _write_csv(path, comment, _LABELED_HEADER, (f"{score!r},{label}" for score, label in rows))
 
 
 def write_score_csv(sample: ScoreSample, path: str, comment: str | None = None) -> None:
     """Write an unlabeled sample; floats use shortest round-trip notation."""
+    _write_csv(path, comment, _SCORE_HEADER, map(repr, sample.scores.tolist()))
+
+
+def _write_csv(path: str, comment: str | None, header: str, lines) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         if comment:
             handle.write(f"# {comment}\n")
-        handle.write(_SCORE_HEADER + "\n")
-        for score in sample.scores.tolist():
-            handle.write(f"{score!r}\n")
+        handle.write(header + "\n")
+        handle.writelines(line + "\n" for line in lines)

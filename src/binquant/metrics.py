@@ -126,10 +126,14 @@ class ConfusionProbs:
             raise ValueError("confusion cells must add up to the predicted-positive mass")
 
 
-def misclassification_cost(cost: CostParams, probs: ConfusionProbs) -> float:
-    """Expected cost fn_cost * P[miss] + fp_cost * P[false alarm]."""
-    p_miss = probs.p_pos - probs.p_pos_and_pred
-    return cost.fn_cost * p_miss + cost.fp_cost * probs.p_neg_and_pred
+def misclassification_cost(cost: CostParams, rates: Rates, p_pos: float) -> float:
+    """Expected cost fn_cost * P[miss] + fp_cost * P[false alarm] at positive prior p_pos.
+
+    The miss cell is ``p_pos * fnr``; forming it as ``p_pos - p_pos * tpr`` would
+    cancel as tpr nears 1, while ``fnr = 1 - tpr`` is exact for tpr >= 1/2.
+    """
+    p = float(_check_unit_interval(p_pos, "p_pos"))
+    return cost.fn_cost * (p * rates.fnr) + cost.fp_cost * ((1.0 - p) * rates.fpr)
 
 
 def _check_unit_interval(value, name: str) -> np.ndarray:

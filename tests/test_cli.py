@@ -4,6 +4,9 @@ Commands run in-process through ``main(argv)``; files go to pytest tmp
 directories.  Determinism assertions compare bytes, not parsed values.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -334,3 +337,26 @@ class TestFlagSet:
     ])
     def test_unread_flags_are_gone(self, argv):
         assert main(argv) == EXIT_USAGE
+
+
+class TestStartup:
+    def test_scipy_is_imported_only_for_the_normal_model(self, sample_files):
+        """In a fresh interpreter, importing the CLI, a ``quantify --threshold`` run
+        and an ``oracle`` run leave scipy unimported; a fitted rule imports it."""
+        train, target = sample_files
+        script = "\n".join([
+            "import sys",
+            "from binquant.cli import main",
+            "loaded = lambda: any(name.split('.')[0] == 'scipy' for name in sys.modules)",
+            "assert not loaded(), 'import binquant.cli'",
+            f"assert main(['quantify', {train!r}, {target!r}, '--threshold', '1', '--method', 'cc']) == 0",
+            "assert not loaded(), 'quantify --threshold'",
+            "assert main(['oracle', '--trials', '2', '--max-atoms', '6']) == 0",
+            "assert not loaded(), 'oracle'",
+            f"assert main(['quantify', {train!r}, {target!r}, '--rule', 'locally-best']) == 0",
+            "assert loaded(), 'quantify --rule'",
+        ])
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

@@ -317,6 +317,137 @@ class TestCsvErrors:
             read_score_csv(str(path))
 
 
+def _csv_error(tmp_path, text, reader=read_labeled_csv):
+    """Write ``text`` (str or bytes) to a file and return (path, the reader's error text)."""
+    path = tmp_path / "data.csv"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
+    with pytest.raises(CsvFormatError) as exc:
+        reader(str(path))
+    return str(path), str(exc.value)
+
+
+class TestCsvErrorText:
+    """The full ``CsvFormatError`` text of every message kind, and the order of
+    competing faults: the first faulty line of the file wins."""
+
+    @pytest.mark.parametrize(
+        "text, reader, message",
+        [
+            ("score,label\n1.0,1\nabc,1\n", read_labeled_csv, "3: invalid score 'abc'"),
+            ("score\n\n0.5\n1.5x\n", read_score_csv, "4: invalid score '1.5x'"),
+            ("score,label\n,1\n", read_labeled_csv, "2: invalid score ''"),
+            ("score\n1.0\ninf\n", read_score_csv, "3: non-finite score 'inf'"),
+            ("score,label\nnan,1\n", read_labeled_csv, "2: non-finite score 'nan'"),
+            ("score,label\n1e400,-1\n", read_labeled_csv, "2: non-finite score '1e400'"),
+            ("score,label\n1.0,x\n", read_labeled_csv, "2: invalid label 'x'"),
+            ("score,label\n1.0,1.0\n", read_labeled_csv, "2: invalid label '1.0'"),
+            ("score,label\n1.0,\n", read_labeled_csv, "2: invalid label ''"),
+            ("score,label\n1.0,1\n2.0,5\n", read_labeled_csv, "3: label must be -1 or 1, got '5'"),
+            ("score,label\n1.0,0\n", read_labeled_csv, "2: label must be -1 or 1, got '0'"),
+            ("score,label\n1.0,300\n", read_labeled_csv, "2: label must be -1 or 1, got '300'"),
+            ("score,label\n1.0,-129\n", read_labeled_csv, "2: label must be -1 or 1, got '-129'"),
+            ("score,label\n1.0,1,extra\n", read_labeled_csv, "2: expected 2 fields, got 3"),
+            ("score,label\n1.0,1\n1.0\n", read_labeled_csv, "3: expected 2 fields, got 1"),
+            ("score\n1.0,1\n", read_score_csv, "2: expected 1 field, got 2"),
+            ("value,label\n1.0,1\n", read_labeled_csv,
+             "1: expected header 'score,label', got 'value,label'"),
+            ("# note\n\nscore,label\n", read_score_csv,
+             "3: expected header 'score', got 'score,label'"),
+        ],
+    )
+    def test_line_messages(self, tmp_path, text, reader, message):
+        path, error = _csv_error(tmp_path, text, reader)
+        assert error == f"{path}:{message}"
+
+    @pytest.mark.parametrize(
+        "text, reader, message",
+        [
+            ("", read_score_csv, "missing 'score' header"),
+            ("# only a comment\n\n", read_labeled_csv, "missing 'score,label' header"),
+            ("score\n", read_score_csv, "no data rows"),
+            ("score,label\n# nothing yet\n\n", read_labeled_csv, "no data rows"),
+        ],
+    )
+    def test_file_messages(self, tmp_path, text, reader, message):
+        path, error = _csv_error(tmp_path, text, reader)
+        assert error == f"{path}: {message}"
+
+    def test_invalid_utf8_names_the_file(self, tmp_path):
+        path, error = _csv_error(tmp_path, b"score\n0.5\n\xff\n", read_score_csv)
+        assert error.startswith(f"{path}: 'utf-8' codec can't decode byte 0xff")
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # a bad value on an earlier line beats a structural fault on a later one
+            ("1.0,1\nabc,1\n2.0,1,3\n", "3: invalid score 'abc'"),
+            ("1.0,1\n2.0,1,3\nabc,1\n", "3: expected 2 fields, got 3"),
+            # a range fault numpy converts beats a later conversion fault, and vice versa
+            ("1.0,5\nabc,1\n", "2: label must be -1 or 1, got '5'"),
+            ("abc,1\n1.0,5\n", "2: invalid score 'abc'"),
+            ("inf,1\n2.0,1,3\n", "2: non-finite score 'inf'"),
+            ("1.0\ninf,1\n", "2: expected 2 fields, got 1"),
+            # within one line the score is checked before the label
+            ("inf,abc\n", "2: non-finite score 'inf'"),
+            ("abc,7\n", "2: invalid score 'abc'"),
+            ("nan,300\n", "2: non-finite score 'nan'"),
+        ],
+    )
+    def test_first_fault_in_file_order_wins(self, tmp_path, rows, message):
+        path, error = _csv_error(tmp_path, "score,label\n" + rows)
+        assert error == f"{path}:{message}"
+
+    @pytest.mark.parametrize("fault", ["abc,1", "1.0,2", "1.0,1,1", "inf,-1"])
+    def test_line_numbers_hold_past_the_first_megabyte(self, tmp_path, fault):
+        """A 2.5 MB file with comments and blank lines: the fault on line 150003
+        is reported there, and an earlier one on line 99999 wins over it."""
+        rows = ["# generated", "score,label"]
+        rows += ["" if i % 7 == 0 else "# note" if i % 11 == 0 else "0.123456789012345,1"
+                 for i in range(150_000)]
+        path, error = _csv_error(tmp_path, "\n".join(rows + [fault, "1.0,1"]) + "\n")
+        assert error.startswith(f"{path}:150003: ")
+        rows[99_998] = "0.5,0"
+        path, error = _csv_error(tmp_path, "\n".join(rows + [fault, "1.0,1"]) + "\n")
+        assert error == f"{path}:99999: label must be -1 or 1, got '0'"
+
+
+
+class TestStrictNumberSyntax:
+    """numpy's parser reads the fields: underscores and non-ASCII digits, which
+    Python's float() and int() accept, are invalid; signs, leading zeros and
+    whitespace around a field are accepted."""
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0661", "\uff11.5", "1_000.5"])
+    def test_score_syntax_outside_ascii_decimals_is_invalid(self, tmp_path, token):
+        path, error = _csv_error(tmp_path, f"score\n0.5\n{token}\n", read_score_csv)
+        assert error == f"{path}:3: invalid score {token!r}"
+        path, error = _csv_error(tmp_path, f"score,label\n{token},1\n")
+        assert error == f"{path}:2: invalid score {token!r}"
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0661"])
+    def test_label_syntax_outside_ascii_integers_is_invalid(self, tmp_path, token):
+        path, error = _csv_error(tmp_path, f"score,label\n0.5,1\n1.5,{token}\n")
+        assert error == f"{path}:3: invalid label {token!r}"
+
+    def test_signs_leading_zeros_and_spaces_are_accepted(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("score,label\n+1.5,+1\n -2 , -1\n.5,01\n1e-3,-01\n")
+        sample = read_labeled_csv(str(path))
+        assert np.array_equal(sample.scores(), [1.5, -2.0, 0.5, 0.001])
+        assert np.array_equal(sample.labels(), [1, -1, 1, -1])
+
+    def test_crlf_endings_match_lf(self, tmp_path):
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        text = "# note\nscore,label\n1.5,1\n\n-0.25,-1\n"
+        lf.write_text(text)
+        crlf.write_bytes(text.replace("\n", "\r\n").encode())
+        a, b = read_labeled_csv(str(lf)), read_labeled_csv(str(crlf))
+        assert np.array_equal(a.scores(), b.scores()) and np.array_equal(a.labels(), b.labels())
+
+
 class TestStatisticalStructure:
     def test_estimates_tighten_with_sample_size(self):
         """Median absolute estimation error over 20 seeds decreases along

@@ -80,14 +80,18 @@ class TestBetaRule:
 
 class TestMisclassificationCost:
     def test_hand_value(self):
-        probs = ConfusionProbs(p_pos_and_pred=0.2, p_neg_and_pred=0.1, p_pos=0.25, p_pred=0.3)
+        rates = Rates(tpr=0.8, fpr=0.1 / 0.75)
         cost = CostParams(fn_cost=2.0, fp_cost=1.0)
-        # misses 0.05 at price 2, false alarms 0.1 at price 1
-        np.testing.assert_allclose(misclassification_cost(cost, probs), 0.2, atol=1e-15)
+        # misses 0.25 * 0.2 = 0.05 at price 2, false alarms 0.75 * 0.1 / 0.75 = 0.1 at price 1
+        np.testing.assert_allclose(misclassification_cost(cost, rates, 0.25), 0.2, atol=1e-15)
 
     def test_perfect_classifier_costs_nothing(self):
-        probs = ConfusionProbs(p_pos_and_pred=0.25, p_neg_and_pred=0.0, p_pos=0.25, p_pred=0.25)
-        assert misclassification_cost(CostParams(1.0, 1.0), probs) == 0.0
+        rates = Rates(tpr=1.0, fpr=0.0)
+        assert misclassification_cost(CostParams(1.0, 1.0), rates, 0.25) == 0.0
+
+    def test_rejects_prior_outside_unit_interval(self):
+        with pytest.raises(ValueError, match="p_pos must lie in"):
+            misclassification_cost(CostParams(1.0, 1.0), Rates(tpr=0.5, fpr=0.5), 1.5)
 
 
 class TestConfusionProbs:

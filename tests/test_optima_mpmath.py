@@ -205,3 +205,29 @@ def test_q_stationarity_at_interior_optima(model, variant):
         lhs = posterior(std, result.classifier.threshold) * c * score(result.u_star, p) ** 2
         rhs = beta * beta * p * rates.tpr**2
         assert math.isclose(lhs, rhs, rel_tol=1e-12), (beta, lhs, rhs)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        (4429.176442020577, 4429.176448751711, 4.178667913545731e-06, 0.8719138181932115),
+        (959.1372118763754, 962.2523254649822, 0.6313782491705784, 0.22767010459441492),
+        (-957454.3727869223, -957177.6821818631, 47.226912717190956, 0.7028944645335705),
+    ],
+)
+def test_bayes_row_cost_is_exact_for_its_rates(tmp_path, model):
+    """``optimize`` reports the Bayes row's cost within 2 ulp of the exact cost of the
+    row's own rates, on models where tpr is 0.9959 to 0.99970 (a miss cell formed
+    as p - p tpr was 14 to 57 ulp off on these)."""
+    from binquant.cli import main
+
+    mu, nu, sigma, p = model
+    out = tmp_path / "optimize.csv"
+    argv = ["optimize", "--mu", repr(mu), "--nu", repr(nu), "--sigma", repr(sigma), "--p", repr(p),
+            "--cost-fn", "4", "--cost-fp", "0.5", "--out", str(out)]
+    assert main(argv) == 0
+    row = next(line for line in out.read_text().splitlines() if line.startswith("bayes,"))
+    tpr, fpr, cost = (float(v) for v in row.split(",")[3:])
+    assert tpr > 0.995
+    exact = 4 * mp.mpf(p) * (1 - mp.mpf(tpr)) + mp.mpf(0.5) * (1 - mp.mpf(p)) * mp.mpf(fpr)
+    assert abs(mp.mpf(cost) - exact) <= 2 * np.spacing(float(exact))
