@@ -17,6 +17,7 @@ recording the parameters that produced them.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -335,6 +336,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_VIOLATION if violations else EXIT_OK
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="binquant", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)

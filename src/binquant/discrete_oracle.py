@@ -14,7 +14,11 @@ turns three optimality statements into machine-checkable facts:
   criterion by more than discreteness allows (``minimax_comparison``).
 
 Enumeration is vectorized over bit masks: subset index sets are encoded
-as integers, with bit i meaning atom i is included.
+as integers, with bit i meaning atom i is included.  Each population
+caches one mask-indexed pair of arrays, the positive and negative mass of
+every subset, and each check scans that pair in cache-sized slices of
+``_BLOCK`` masks, so no temporary spans all 2^n subsets.  Threshold sets
+are evaluated at their own masks only.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ MAX_ATOMS = 20
 _MASS_SUM_TOL = 1e-12
 _COST_SLACK = 1e-12
 _EQUALITY_TOL = 1e-12
+_BLOCK = 1 << 15  # masks per slice: 256 KiB per float64 temporary
 
 
 @dataclass(frozen=True)
@@ -69,6 +74,8 @@ class DiscretePopulation:
         if len(atoms) > MAX_ATOMS:
             raise ValueError(f"at most {MAX_ATOMS} atoms supported, got {len(atoms)}")
         for i, (mp, mn) in enumerate(atoms):
+            if not (math.isfinite(mp) and math.isfinite(mn)):
+                raise ValueError(f"atom {i} has a non-finite mass")
             if mp < 0.0 or mn < 0.0:
                 raise ValueError(f"atom {i} has a negative mass")
             if mp + mn <= 0.0:
@@ -97,17 +104,36 @@ class DiscretePopulation:
     def subset_masses(self) -> tuple[np.ndarray, np.ndarray]:
         """Positive and negative mass of every subset, indexed by bit mask.
 
-        Built once per population and shared by every check; the arrays
-        are read-only.
+        Built once per population by doubling: the masks with top bit i
+        are the masks below 2^i plus atom i.  Shared by every check; the
+        arrays are read-only.
         """
-        pos = np.zeros(1)
-        neg = np.zeros(1)
-        for mp, mn in self.atoms:
-            pos = np.concatenate([pos, pos + mp])
-            neg = np.concatenate([neg, neg + mn])
+        pos = np.empty(1 << self.n_atoms)
+        neg = np.empty(1 << self.n_atoms)
+        pos[0] = neg[0] = 0.0
+        for i, (mp, mn) in enumerate(self.atoms):
+            k = 1 << i
+            np.add(pos[:k], mp, out=pos[k:2 * k])
+            np.add(neg[:k], mn, out=neg[k:2 * k])
         pos.flags.writeable = False
         neg.flags.writeable = False
         return pos, neg
+
+    @cached_property
+    def _threshold_masks(self) -> np.ndarray:
+        """Bit masks of every posterior threshold set, in a fixed order.
+
+        Levels q run over the distinct atom posteriors in ascending order,
+        then 0 and 1, and each level gives {posterior > q} before
+        {posterior >= q}.  On a finite population every threshold set
+        equals one of these.
+        """
+        posteriors = self.posteriors
+        levels = sorted(set(posteriors)) + [0.0, 1.0]
+        masks = np.array([_posterior_cut(posteriors, q, strict)
+                          for q in levels for strict in (True, False)])
+        masks.flags.writeable = False
+        return masks
 
 
 @dataclass(frozen=True)
@@ -138,23 +164,12 @@ def _posterior_cut(posteriors: tuple[float, ...], level: float, strict: bool = T
     return sum(1 << i for i, q in enumerate(posteriors) if (q > level if strict else q >= level))
 
 
-def _threshold_sets(population: DiscretePopulation) -> list[int]:
-    """Bit masks of every posterior threshold set, in a fixed order.
-
-    Levels q run over the distinct atom posteriors in ascending order, then
-    0 and 1, and each level gives {posterior > q} before {posterior >= q}.
-    On a finite population every threshold set equals one of these.
-    """
-    posteriors = population.posteriors
-    levels = sorted(set(posteriors)) + [0.0, 1.0]
-    return [_posterior_cut(posteriors, q, strict) for q in levels for strict in (True, False)]
-
-
-def _fbeta_values(population: DiscretePopulation, beta: float) -> np.ndarray:
-    """F measure of every subset; 0 for the empty prediction, whose cells are 0."""
-    b2 = _check_beta(beta)
+def _blocks(population: DiscretePopulation):
+    """Yield (first mask, positive masses, negative masses) for each slice of
+    ``_BLOCK`` consecutive masks; the slices are views of ``subset_masses``."""
     pos, neg = population.subset_masses
-    return _f_formula(pos, population.prevalence, pos + neg, b2)
+    for start in range(0, pos.size, _BLOCK):
+        yield start, pos[start:start + _BLOCK], neg[start:start + _BLOCK]
 
 
 def subset_confusion(population: DiscretePopulation, classifier: SubsetClassifier) -> ConfusionProbs:
@@ -176,13 +191,23 @@ def brute_force_fbeta_max(
     """Maximize the F measure over all 2^n subset classifiers.
 
     Ties are broken deterministically: among subsets attaining the maximal
-    value, the lexicographically smallest sorted index tuple wins.
+    value, the lexicographically smallest sorted index tuple wins.  The
+    empty prediction, whose cells are 0, scores 0.
     """
-    values = _fbeta_values(population, beta)
-    best_value = float(np.max(values))
-    tied_masks = np.flatnonzero(values == best_value)
+    b2 = _check_beta(beta)
+    prevalence = population.prevalence
+    best_value = -math.inf
+    tied_masks: list[int] = []
+    for start, pos, neg in _blocks(population):
+        values = _f_formula(pos, prevalence, pos + neg, b2)
+        block_max = float(np.max(values))
+        if block_max < best_value:
+            continue
+        if block_max > best_value:
+            best_value, tied_masks = block_max, []
+        tied_masks += (start + np.flatnonzero(values == block_max)).tolist()
     n = population.n_atoms
-    best_mask = min((int(m) for m in tied_masks), key=lambda m: _mask_to_indices(m, n))
+    best_mask = min(tied_masks, key=lambda m: _mask_to_indices(m, n))
     return SubsetClassifier(frozenset(_mask_to_indices(best_mask, n))), best_value
 
 
@@ -193,8 +218,10 @@ def thresholded_fbeta_sup(population: DiscretePopulation, beta: float) -> float:
     the distinct atom posteriors together with 0 and 1; on a finite
     population every threshold set equals one of these.
     """
-    values = _fbeta_values(population, beta)
-    return float(np.max(values[_threshold_sets(population)]))
+    b2 = _check_beta(beta)
+    masks = population._threshold_masks
+    pos, neg = (masses[masks] for masses in population.subset_masses)
+    return float(np.max(_f_formula(pos, population.prevalence, pos + neg, b2)))
 
 
 @dataclass(frozen=True)
@@ -230,28 +257,29 @@ def local_bayes_check(
     """
     if not (0.0 <= cut_level <= 1.0):
         raise ValueError(f"cut level must lie in [0, 1], got {cut_level!r}")
-    pos, neg = population.subset_masses
-    predicted = pos + neg
     prevalence = population.prevalence
-    costs = cost.fn_cost * (prevalence - pos) + cost.fp_cost * neg
+
+    def costs(pos, neg):
+        return cost.fn_cost * (prevalence - pos) + cost.fp_cost * neg
 
     cut_mask = _posterior_cut(population.posteriors, cut_level)
     cut_indices = frozenset(_mask_to_indices(cut_mask, population.n_atoms))
-    cut_mass = float(predicted[cut_mask])
-    cut_cost = float(costs[cut_mask])
+    cut_pos, cut_neg = (masses[cut_mask] for masses in population.subset_masses)
+    cut_mass = float(cut_pos + cut_neg)
+    cut_cost = float(costs(cut_pos, cut_neg))
 
     ratio = cost.posterior_cutoff
     if cut_level < ratio:
-        constraint = "mass_at_least"
-        eligible = predicted >= cut_mass
+        constraint, on_side = "mass_at_least", np.greater_equal
     elif cut_level > ratio:
-        constraint = "mass_at_most"
-        eligible = predicted <= cut_mass
+        constraint, on_side = "mass_at_most", np.less_equal
     else:
-        constraint = "all"
-        eligible = np.ones(predicted.shape, dtype=bool)
+        constraint, on_side = "all", None
 
-    best_cost = float(np.min(costs[eligible]))
+    best_cost = math.inf
+    for _, pos, neg in _blocks(population):
+        eligible = True if on_side is None else on_side(pos + neg, cut_mass)
+        best_cost = min(best_cost, float(np.min(costs(pos, neg), where=eligible, initial=math.inf)))
     return LocalBayesReport(
         cut_level=cut_level,
         cost_ratio=ratio,
@@ -286,21 +314,27 @@ def minimax_comparison(population: DiscretePopulation) -> MinimaxReport:
     populations the brute-force minimum can be strictly smaller because
     the ratio takes only finitely many values; it can never be larger.
     """
-    pos, neg = population.subset_masses
     prevalence = population.prevalence
-    fpr = neg / (1.0 - prevalence)
-    fnr = 1.0 - pos / prevalence
-    worst = np.maximum(fpr, fnr)
 
-    n = population.n_atoms
-    brute_value = float(np.min(worst))
-    brute_mask = int(np.argmin(worst))
+    def worst(pos, neg):
+        return np.maximum(neg / (1.0 - prevalence), 1.0 - pos / prevalence)
+
+    # The first subset in mask order wins ties: a later slice must be strictly better.
+    brute_value, brute_mask = math.inf, 0
+    for start, pos, neg in _blocks(population):
+        values = worst(pos, neg)
+        best = int(np.argmin(values))
+        if values[best] < brute_value:
+            brute_value, brute_mask = float(values[best]), start + best
 
     # The first threshold set in enumeration order wins ties.
-    masks = _threshold_sets(population)
-    best = int(np.argmin(worst[masks]))
-    threshold_mask = masks[best]
-    threshold_value = float(worst[threshold_mask])
+    masks = population._threshold_masks
+    values = worst(*(masses[masks] for masses in population.subset_masses))
+    best = int(np.argmin(values))
+    threshold_mask = int(masks[best])
+    threshold_value = float(values[best])
+
+    n = population.n_atoms
 
     return MinimaxReport(
         brute_value=brute_value,

@@ -339,6 +339,43 @@ class TestFlagSet:
         assert main(argv) == EXIT_USAGE
 
 
+class TestParserReuse:
+    """``build_parser`` is cached, so all ``main`` calls in a process share one
+    parser; each call must still behave as if it ran alone."""
+
+    SEQUENCES = {
+        "beta-then-defaults": [
+            ["oracle", "--trials", "2", "--max-atoms", "5", "--beta", "0.5", "--beta", "3"],
+            ["oracle", "--trials", "2", "--max-atoms", "5"],
+            ["optimize", "--beta", "3", "--beta", "4"],
+            ["optimize"],
+        ],
+        "usage-error-then-valid": [
+            ["oracle", "--bogus"],
+            ["oracle", "--trials", "0"],
+            ["oracle", "--trials", "2", "--max-atoms", "5"],
+        ],
+    }
+
+    @staticmethod
+    def _run(argv, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("name", SEQUENCES)
+    def test_calls_in_a_row_match_single_calls(self, name, capsys):
+        sequence = self.SEQUENCES[name]
+        alone = []
+        for argv in sequence:
+            cli.build_parser.cache_clear()  # a fresh parser, as in a new process
+            alone.append(self._run(argv, capsys))
+        cli.build_parser.cache_clear()
+        in_a_row = [self._run(argv, capsys) for argv in sequence]
+        assert cli.build_parser.cache_info().currsize == 1
+        assert in_a_row == alone
+
+
 class TestStartup:
     def test_scipy_is_imported_only_for_the_normal_model(self, sample_files):
         """In a fresh interpreter, importing the CLI, a ``quantify --threshold`` run

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from binquant.discrete_oracle import (
+    _BLOCK,
     MAX_ATOMS,
     DiscretePopulation,
     SubsetClassifier,
@@ -65,6 +66,16 @@ class TestDiscretePopulation:
     def test_rejects_empty_atom(self):
         with pytest.raises(ValueError):
             DiscretePopulation(atoms=((0.5, 0.5), (0.0, 0.0)))
+
+    @pytest.mark.parametrize("atoms, index", [
+        (((0.5, math.nan), (0.25, 0.25)), 0),
+        (((math.nan, 0.5), (0.25, 0.25)), 0),
+        (((0.25, 0.25), (0.5, math.inf)), 1),
+        (((0.25, 0.25), (-math.inf, 0.5)), 1),
+    ])
+    def test_rejects_non_finite_mass(self, atoms, index):
+        with pytest.raises(ValueError, match=f"^atom {index} has a non-finite mass$"):
+            DiscretePopulation(atoms=atoms)
 
     def test_rejects_too_many_atoms(self):
         n = MAX_ATOMS + 1
@@ -251,3 +262,106 @@ class TestSubsetMasses:
             probs = subset_confusion(pop, SubsetClassifier(included))
             np.testing.assert_allclose(pos[mask], probs.p_pos_and_pred, atol=1e-15)
             np.testing.assert_allclose(neg[mask], probs.p_neg_and_pred, atol=1e-15)
+
+
+def _dyadic_tie_population():
+    """18 atoms in 128ths, so every subset sum is exact.  Atoms 0, 1, 2 and
+    16 have posterior 1 and make F = 2/3 at beta = 1; atom 15 has posterior
+    exactly 1/3 = F / 2, so adding it leaves F unchanged.  The two
+    maximizing masks lie in slices 2 and 3, and the later one,
+    {0, 1, 2, 15, 16}, is the lexicographically smaller."""
+    counts = ([(4, 0)] * 3 + [(2, 12)] * 7 + [(0, 2)] * 2 + [(0, 1)] * 3
+              + [(2, 4), (4, 0), (0, 1)])
+    return DiscretePopulation(atoms=tuple((a / 128, b / 128) for a, b in counts))
+
+
+def _block_cases():
+    rng = np.random.default_rng(1615)
+    cases = [pytest.param(random_population(rng, n, tied=tied), id=f"n={n}-{kind}")
+             for n in (16, 17, 18) for tied, kind in ((False, "distinct"), (True, "tied"))]
+    return cases + [pytest.param(_dyadic_tie_population(), id="n=18-dyadic-tie")]
+
+
+class TestBlockScan:
+    """The slice-by-slice scans return exactly what the whole-array formulas
+    give, on populations with 2^16 to 2^18 subsets, i.e. 2 to 8 slices."""
+
+    @staticmethod
+    def _whole(pop):
+        """Subset masses by concatenation, and the threshold-set masks."""
+        pos, neg = np.zeros(1), np.zeros(1)
+        for mp, mn in pop.atoms:
+            pos = np.concatenate([pos, pos + mp])
+            neg = np.concatenate([neg, neg + mn])
+        q = pop.posteriors
+        masks = [sum(1 << i for i, qi in enumerate(q) if (qi > level if strict else qi >= level))
+                 for level in sorted(set(q)) + [0.0, 1.0] for strict in (True, False)]
+        return pos, neg, masks
+
+    @pytest.fixture(scope="class", params=_block_cases())
+    def case(self, request):
+        pop = request.param
+        return pop, *self._whole(pop)
+
+    def test_subset_masses_are_bit_identical(self, case):
+        pop, pos, neg, _ = case
+        assert pop.n_atoms >= 16 and (1 << pop.n_atoms) > _BLOCK
+        assert np.array_equal(pop.subset_masses[0], pos)
+        assert np.array_equal(pop.subset_masses[1], neg)
+
+    def test_fbeta(self, case):
+        pop, pos, neg, masks = case
+        n, prevalence = pop.n_atoms, pop.prevalence
+        for beta in (0.5, 1.0, 2.0):
+            b2 = beta * beta
+            values = (1.0 + b2) * pos / (b2 * prevalence + (pos + neg))
+            best = np.max(values)
+            tied = np.flatnonzero(values == best).tolist()
+            first = min(tied, key=lambda m: [i for i in range(n) if m >> i & 1])
+            clf, value = brute_force_fbeta_max(pop, beta)
+            assert value == best
+            assert clf.included == frozenset(i for i in range(n) if first >> i & 1)
+            assert thresholded_fbeta_sup(pop, beta) == np.max(values[masks])
+
+    def test_fbeta_tie_across_slices(self):
+        pop = _dyadic_tie_population()
+        pos, neg, _ = self._whole(pop)
+        values = 2.0 * pos / (pop.prevalence + (pos + neg))
+        tied = np.flatnonzero(values == np.max(values))
+        early, late = 0b111 | 1 << 16, 0b111 | 1 << 15 | 1 << 16
+        assert tied.tolist() == [early, late]
+        assert early // _BLOCK == 2 and late // _BLOCK == 3
+        clf, value = brute_force_fbeta_max(pop, 1.0)
+        assert value == 2.0 / 3.0 and clf.included == frozenset({0, 1, 2, 15, 16})
+
+    def test_local_bayes_all_three_constraints(self, case):
+        pop, pos, neg, _ = case
+        prevalence = pop.prevalence
+        cost = CostParams(0.7, 1.3)
+        ratio = cost.posterior_cutoff
+        costs = cost.fn_cost * (prevalence - pos) + cost.fp_cost * neg
+        predicted = pos + neg
+        for level, constraint in ((0.5 * ratio, "mass_at_least"), (ratio, "all"),
+                                  (0.5 * (1.0 + ratio), "mass_at_most")):
+            report = local_bayes_check(pop, cost, level)
+            cut = sum(1 << i for i, q in enumerate(pop.posteriors) if q > level)
+            eligible = {"mass_at_least": predicted >= predicted[cut],
+                        "mass_at_most": predicted <= predicted[cut],
+                        "all": np.ones(predicted.shape, dtype=bool)}[constraint]
+            assert report.constraint == constraint
+            assert report.predicted_mass == predicted[cut]
+            assert report.cut_cost == costs[cut]
+            assert report.best_cost == np.min(costs[eligible])
+
+    def test_minimax(self, case):
+        pop, pos, neg, masks = case
+        n, prevalence = pop.n_atoms, pop.prevalence
+        worst = np.maximum(neg / (1.0 - prevalence), 1.0 - pos / prevalence)
+        brute = int(np.argmin(worst))
+        threshold = masks[int(np.argmin(worst[masks]))]
+        report = minimax_comparison(pop)
+        assert report.brute_value == np.min(worst)
+        assert report.brute_classifier.included == frozenset(i for i in range(n) if brute >> i & 1)
+        assert report.threshold_value == worst[threshold]
+        assert report.threshold_classifier.included == frozenset(
+            i for i in range(n) if threshold >> i & 1)

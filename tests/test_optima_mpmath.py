@@ -31,6 +31,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize, special
 
 from binquant.binormal import BinormalModel, classifier_rates, posterior
@@ -187,6 +189,16 @@ def test_f_threshold_theorem(model):
         result = f_optimal_classifier(std, beta)
         level = result.objective_value / (1.0 + beta * beta)
         assert math.isclose(posterior(std, result.classifier.threshold), level, rel_tol=1e-13)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(d=st.floats(0.25, 6.0), p=st.floats(0.01, 0.99), beta=st.floats(0.5, 3.0))
+def test_f_threshold_theorem_over_the_box(d, p, beta):
+    """The same theorem at random (d, p) in the model-sweep box and beta over the range of BETAS."""
+    std = BinormalModel(mu=0.0, nu=d, sigma=1.0, p=p)
+    result = f_optimal_classifier(std, beta)
+    level = result.objective_value / (1.0 + beta * beta)
+    assert math.isclose(posterior(std, result.classifier.threshold), level, rel_tol=1e-13)
 
 
 @pytest.mark.parametrize("variant", list(NasVariant), ids=lambda v: v.value)
