@@ -19,7 +19,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +36,9 @@ from .discrete_oracle import (
     thresholded_fbeta_sup,
 )
 from .empirical import (
+    CsvFormatError,
+    LabeledSample,
+    ScoreSample,
     _flagged_fraction,
     estimate_rates,
     fit_binormal,
@@ -236,30 +241,84 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _quantify_model(args: argparse.Namespace, train) -> BinormalModel:
-    given = [v is not None for v in (args.mu, args.nu, args.sigma, args.p)]
-    if all(given):
-        return _model(args)
-    if any(given):
-        raise _UsageError("give all of --mu/--nu/--sigma/--p or none (to fit from the train file)")
-    return fit_binormal(train)
+def _read_inputs(train_path: str, target_path: str) -> tuple[LabeledSample, ScoreSample]:
+    """Read the train and target files of ``quantify``: the target in a forked child
+    while this process reads the train file, where the platform can fork and this
+    process runs one thread (forking a threaded process can deadlock).  Elsewhere, or
+    when the fork fails, both are read here, one after the other.
+
+    Either way the train file's error wins, as in a sequential read.  The child sends
+    back ``(True, sample)`` or ``(False, error)`` through a pipe and never writes to
+    stdout or stderr.  Any other ending of the child makes this process read the target
+    itself, so the same result or error comes out.
+    """
+    if not hasattr(os, "fork") or threading.active_count() != 1:
+        return read_labeled_csv(train_path), read_score_csv(target_path)
+    import pickle
+    import signal
+
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return read_labeled_csv(train_path), read_score_csv(target_path)
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            try:
+                reply = (True, read_score_csv(target_path))
+            except (CsvFormatError, OSError) as exc:  # their texts survive pickling
+                reply = (False, exc)
+            with open(write_end, "wb") as pipe:
+                pipe.write(pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL))
+            code = 0
+        finally:
+            os._exit(code)  # runs no atexit handler and flushes no inherited buffer
+    os.close(write_end)
+    try:
+        with open(read_end, "rb") as pipe:
+            train = read_labeled_csv(train_path)
+            data = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if os.waitstatus_to_exitcode(status) != 0:
+        return train, read_score_csv(target_path)
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise value
+    return train, value
 
 
 def _cmd_quantify(args: argparse.Namespace) -> int:
     if (args.threshold is None) == (args.rule is None):
         raise _UsageError("provide exactly one of --threshold or --rule")
     betas = _betas(args, (1.0,))
-
-    train = read_labeled_csv(args.train)
-    target = read_score_csv(args.target)
-
+    given = [v is not None for v in (args.mu, args.nu, args.sigma, args.p)]
+    model = None
     if args.threshold is not None:
+        if any(given):
+            raise _UsageError("give none of --mu/--nu/--sigma/--p with --threshold "
+                              "(they set the model of --rule)")
         try:
             classifier = ThresholdClassifier(args.threshold)
         except ValueError as exc:
             raise _UsageError(str(exc)) from exc
-    else:
-        model = _quantify_model(args, train)
+    elif all(given):
+        model = _model(args)
+    elif any(given):
+        raise _UsageError("give all of --mu/--nu/--sigma/--p or none (to fit from the train file)")
+
+    train, target = _read_inputs(args.train, args.target)
+
+    if args.rule is not None:
+        if model is None:
+            model = fit_binormal(train)
         if args.rule == "minimax":
             classifier = minimax_classifier(model).classifier
         elif args.rule == "locally-best":

@@ -113,6 +113,9 @@ class ScoreSample:
     def __post_init__(self) -> None:
         object.__setattr__(self, "scores", _score_array(self.scores, "score"))
 
+    def __reduce__(self):  # unpickle through the constructor, so the array stays read-only
+        return ScoreSample, (self.scores,)
+
     @property
     def n(self) -> int:
         return len(self.scores)
@@ -242,16 +245,28 @@ def _line_fault(line: str, names: list[str]) -> str:
 
 
 def _data_rows(path: str, header: str) -> np.ndarray:
-    """Every data row after ``header``, with a field per header name.  Python filters
-    the lines a chunk at a time (skipping blank lines and ``#`` comments, checking the
-    header) and numpy converts them, field count included; a faulty chunk is bisected,
-    so the first faulty line in file order raises ``CsvFormatError``."""
+    """Every data row after ``header``, with a field per header name.  The file is read
+    a chunk of lines at a time.  Once the header is seen, numpy converts each chunk as
+    read, field count included.  Python filters a chunk only when numpy rejects it or
+    the header is still to come: it strips the lines, skips blank lines and ``#``
+    comments, checks the header and hands the rest to numpy.  Comments, whitespace-only
+    lines and faulty lines all fail numpy's conversion, so they always reach the filter.
+    A faulty chunk is bisected, so the first faulty line in file order raises
+    ``CsvFormatError``."""
     names = header.split(",")
     dtype = np.dtype([(name, _FIELDS[name][0]) for name in names])
     lineno, header_seen, parts = 1, False, []
     with open(path, encoding="utf-8-sig") as handle:
         try:
+            # readlines splits only on "\n" after newline translation; str.splitlines
+            # would also split on "\x0c", "\x1c" or "\x85" inside a line.  A chunk of
+            # empty lines alone goes to the filter, as numpy warns on input with no rows.
             while chunk := handle.readlines(_CHUNK_CHARS):
+                if (header_seen and any(map("\n".__ne__, chunk))
+                        and (rows := _sound_rows(chunk, dtype)) is not None):
+                    lineno += len(chunk)
+                    parts.append(rows)
+                    continue
                 lines = list(map(str.strip, chunk))
                 numbers = [n for n, line in enumerate(lines, lineno) if line and line[0] != "#"]
                 if len(numbers) < len(lines):

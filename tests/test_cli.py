@@ -7,6 +7,7 @@ directories.  Determinism assertions compare bytes, not parsed values.
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,9 @@ import pytest
 from binquant import cli
 from binquant.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from binquant.empirical import RNG_ALGORITHM, ScoreSample, write_labeled_csv, write_score_csv
-from binquant.binormal import BinormalModel
-from binquant.empirical import sample_binormal
+from binquant.binormal import BinormalModel, ThresholdClassifier
+from binquant.empirical import (estimate_rates, quantify_sample, read_labeled_csv, read_score_csv,
+                                sample_binormal)
 
 
 def _read_csv(path):
@@ -218,6 +220,137 @@ class TestQuantify:
         bad = tmp_path / "bad.csv"
         bad.write_text("score,label\noops,1\n")
         assert main(["quantify", str(bad), target, "--threshold", "1.0"]) == EXIT_DATA
+
+
+class TestQuantifyFlagsFirst:
+    """Every ``quantify`` flag is checked before a file is read."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--rule", "minimax", "--mu", "0"],
+        ["--rule", "minimax", "--mu", "0", "--nu", "2", "--sigma", "-1", "--p", "0.5"],
+        ["--threshold", "inf"],
+        ["--threshold", "1", "--p", "0.5"],
+    ])
+    def test_flag_errors_win_over_missing_files(self, tmp_path, flags, capsys):
+        missing = str(tmp_path / "missing.csv")
+        assert main(["quantify", missing, missing, *flags]) == EXIT_USAGE
+        assert missing not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--mu", "--nu", "--sigma", "--p"])
+    def test_model_flags_with_threshold_are_a_usage_error(self, sample_files, flag, capsys):
+        assert main(["quantify", *sample_files, "--threshold", "1", flag, "0.5"]) == EXIT_USAGE
+        assert capsys.readouterr().err == ("error: give none of --mu/--nu/--sigma/--p with "
+                                           "--threshold (they set the model of --rule)\n")
+
+
+@pytest.fixture(scope="module")
+def large_files(tmp_path_factory):
+    """Train and target files of about 1.5 MiB each, so each spans two read chunks."""
+    root = tmp_path_factory.mktemp("large")
+    train = sample_binormal(BinormalModel(mu=0.0, nu=2.0, sigma=1.0, p=0.25), 70_000, seed=21)
+    target = sample_binormal(BinormalModel(mu=0.0, nu=2.0, sigma=1.0, p=0.6), 70_000, seed=22)
+    paths = str(root / "train.csv"), str(root / "target.csv")
+    write_labeled_csv(train, paths[0])
+    write_score_csv(ScoreSample(scores=target.scores()), paths[1])
+    assert min(map(os.path.getsize, paths)) > 1 << 20
+    return paths
+
+
+def _with_fault(tmp_path, source: str, line: int, text: str) -> str:
+    """A copy of ``source`` with its line ``line`` (1-based) replaced by ``text``."""
+    lines = Path(source).read_text().splitlines()
+    lines[line - 1] = text
+    path = tmp_path / f"faulty-{Path(source).name}"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+class TestConcurrentRead:
+    """``quantify`` reads the target in a forked child while it reads the train file.
+    Results and errors match a sequential read, the child writes nothing and no
+    child is left behind."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def _expected(train_path: str, target_path: str) -> str:
+        classifier = ThresholdClassifier(1.0)
+        rates = estimate_rates(read_labeled_csv(train_path), classifier)
+        estimate = quantify_sample(read_score_csv(target_path), classifier, rates)
+        return (f"threshold=1.0\n"
+                f"tpr={rates.tpr!r} fpr={rates.fpr!r} (estimated from {train_path})\n"
+                f"cc={estimate.cc!r}\nac={estimate.ac!r} ac_clamped={estimate.ac_clamped!r}\n")
+
+    def test_stdout_matches_a_sequential_read(self, large_files, capfd):
+        assert main(["quantify", *large_files, "--threshold", "1.0"]) == EXIT_OK
+        assert capfd.readouterr() == (self._expected(*large_files), "")
+
+    @pytest.mark.parametrize("flags", [["--threshold", "1.0"], ["--rule", "locally-best"]])
+    def test_in_process_read_gives_the_same_stdout(self, large_files, flags, monkeypatch, capfd):
+        assert main(["quantify", *large_files, *flags]) == EXIT_OK
+        forked = capfd.readouterr()
+        monkeypatch.delattr(os, "fork")
+        assert main(["quantify", *large_files, *flags]) == EXIT_OK
+        assert capfd.readouterr() == forked
+
+    def test_failed_fork_reads_in_process(self, large_files, monkeypatch, capfd):
+        def fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        monkeypatch.setattr(os, "fork", fork)
+        assert main(["quantify", *large_files, "--threshold", "1.0"]) == EXIT_OK
+        assert capfd.readouterr() == (self._expected(*large_files), "")
+
+    def test_no_fork_while_other_threads_run(self, large_files, monkeypatch, capfd):
+        def fork():
+            raise AssertionError("forked a process that runs two threads")
+        monkeypatch.setattr(os, "fork", fork)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert main(["quantify", *large_files, "--threshold", "1.0"]) == EXIT_OK
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert capfd.readouterr() == (self._expected(*large_files), "")
+
+    def test_child_without_reply_reads_in_process(self, large_files, monkeypatch, capfd):
+        parent = os.getpid()
+
+        def read_score_csv_or_die(path):
+            if os.getpid() != parent:
+                os._exit(1)
+            return read_score_csv(path)
+        monkeypatch.setattr(cli, "read_score_csv", read_score_csv_or_die)
+        assert main(["quantify", *large_files, "--threshold", "1.0"]) == EXIT_OK
+        assert capfd.readouterr() == (self._expected(*large_files), "")
+
+    @pytest.mark.parametrize("train_line, target_line", [(60_000, 2), (2, 65_000)])
+    def test_train_error_wins_over_target_error(self, large_files, tmp_path, capfd,
+                                                train_line, target_line):
+        """Whichever read fails first, the train file's error is reported."""
+        train = _with_fault(tmp_path, large_files[0], train_line, "1.0,7")
+        target = _with_fault(tmp_path, large_files[1], target_line, "abc")
+        assert main(["quantify", train, target, "--threshold", "1.0"]) == EXIT_DATA
+        assert capfd.readouterr() == (
+            "", f"error: {train}:{train_line}: label must be -1 or 1, got '7'\n")
+
+    def test_target_error_past_the_first_mebibyte(self, large_files, tmp_path, capfd):
+        target = _with_fault(tmp_path, large_files[1], 65_000, "1.5x")
+        assert main(["quantify", large_files[0], target, "--threshold", "1.0"]) == EXIT_DATA
+        assert capfd.readouterr() == ("", f"error: {target}:65000: invalid score '1.5x'\n")
+
+    def test_missing_target_names_the_path(self, large_files, tmp_path, capfd):
+        missing = str(tmp_path / "missing.csv")
+        assert main(["quantify", large_files[0], missing, "--threshold", "1.0"]) == EXIT_DATA
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
 
 
 class TestOracle:

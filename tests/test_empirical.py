@@ -6,10 +6,14 @@ is deterministic.
 """
 
 import math
+import pickle
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from binquant.binormal import BinormalModel, ThresholdClassifier, classifier_rates
@@ -211,6 +215,13 @@ class TestArrayStorage:
             with pytest.raises(ValueError):
                 array[0] = 1
 
+    def test_unpickled_score_sample_is_read_only(self):
+        """``quantify`` receives its target sample pickled from a child process."""
+        target = pickle.loads(pickle.dumps(ScoreSample(scores=[0.5, -0.0])))
+        assert np.array_equal(target.scores.view(np.uint64), np.array([0.5, -0.0]).view(np.uint64))
+        with pytest.raises(ValueError):
+            target.scores[0] = 1
+
     def test_constructors_copy_their_input(self):
         scores = np.array([0.5, 1.5])
         labels = np.array([-1, 1], dtype=np.int8)
@@ -274,6 +285,51 @@ class TestCsvRoundTrip:
         sample = read_labeled_csv(str(path))
         assert np.array_equal(sample.scores(), [1.5, -0.5])
         assert np.array_equal(sample.labels(), [1, -1])
+
+
+# Finite float64 scores, with the signed zero, subnormals and values near the top of
+# the range drawn often.
+_SCORES = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_ROWS = st.lists(st.tuples(_SCORES, st.sampled_from([-1, 1])), min_size=1, max_size=40)
+
+
+@pytest.fixture(scope="module")
+def round_trip_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("round-trip")
+
+
+def _check_round_trip(directory, rows, past_first_chunk: bool) -> None:
+    """Written then read, scores and labels come back bit for bit (``-0.0`` included);
+    ``past_first_chunk`` repeats the rows until both files exceed 1 MiB."""
+    scores, labels = (np.array(column) for column in zip(*rows))
+    if past_first_chunk:
+        width = sum(len(repr(float(score))) + 1 for score in scores)  # the score file's
+        scores, labels = (np.tile(column, (1 << 20) // width + 2) for column in (scores, labels))
+    labeled, unlabeled = directory / "labeled.csv", directory / "scores.csv"
+    write_labeled_csv(LabeledSample(scores, labels), str(labeled))
+    write_score_csv(ScoreSample(scores=scores), str(unlabeled))
+    assert (min(labeled.stat().st_size, unlabeled.stat().st_size) > 1 << 20) == past_first_chunk
+    back = read_labeled_csv(str(labeled))
+    assert np.array_equal(back.scores().view(np.uint64), scores.view(np.uint64))
+    assert np.array_equal(back.labels(), labels)
+    assert np.array_equal(read_score_csv(str(unlabeled)).scores.view(np.uint64),
+                          scores.view(np.uint64))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(rows=_ROWS)
+def test_csv_round_trip_is_bit_exact(round_trip_dir, rows):
+    _check_round_trip(round_trip_dir, rows, past_first_chunk=False)
+
+
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(rows=_ROWS)
+def test_csv_round_trip_is_bit_exact_past_the_first_chunk(round_trip_dir, rows):
+    _check_round_trip(round_trip_dir, rows, past_first_chunk=True)
 
 
 class TestCsvErrors:
@@ -413,6 +469,86 @@ class TestCsvErrorText:
         path, error = _csv_error(tmp_path, "\n".join(rows + [fault, "1.0,1"]) + "\n")
         assert error == f"{path}:99999: label must be -1 or 1, got '0'"
 
+
+
+class TestRawChunks:
+    """Past the header, numpy converts each 1 MiB chunk of lines as read, and only a
+    chunk it rejects is stripped, filtered and bisected.  An oddity in chunk 2 or later
+    of a file over 2 MiB gives the same rows or error text as anywhere else."""
+
+    ROW = "0.123456789012345,1"  # 20 bytes a line, so 110,000 rows make 2.2 MB
+    ROWS = 110_000
+    AT = 80_000  # line AT + 1 of the file lies in the second chunk
+
+    def _lines(self):
+        return ["score,label"] + [self.ROW] * self.ROWS
+
+    @staticmethod
+    def _write(tmp_path, lines, newline="\n") -> str:
+        path = tmp_path / "data.csv"
+        path.write_bytes((newline.join(lines) + newline).encode())
+        assert path.stat().st_size > 2 << 20
+        return str(path)
+
+    def _assert_rows(self, path, n):
+        sample = read_labeled_csv(path)
+        assert np.array_equal(sample.scores(), np.full(n, 0.123456789012345))
+        assert np.array_equal(sample.labels(), np.ones(n))
+
+    def test_form_feed_inside_a_line_is_one_line_of_three_fields(self, tmp_path):
+        lines = self._lines()
+        lines[self.AT] = "1.0,1\x0c2.0,1"
+        path, error = _csv_error(tmp_path, "\n".join(lines) + "\n")
+        assert error == f"{path}:{self.AT + 1}: expected 2 fields, got 3"
+
+    @pytest.mark.parametrize("odd", ["   ", "\t", "\x85", "# note", "#0.5,1"])
+    def test_whitespace_and_comment_lines_are_skipped(self, tmp_path, odd):
+        lines = self._lines()
+        lines.insert(self.AT, odd)
+        self._assert_rows(self._write(tmp_path, lines), self.ROWS)
+
+    def test_padded_rows_are_stripped(self, tmp_path):
+        lines = self._lines()
+        lines[self.AT] = "\x85 \xa0" + self.ROW + "\x85\x0c"
+        self._assert_rows(self._write(tmp_path, lines), self.ROWS)
+
+    def test_cr_line_endings(self, tmp_path):
+        lines = self._lines()
+        self._assert_rows(self._write(tmp_path, lines, "\r"), self.ROWS)
+        lines[self.AT] = "1.0,0"
+        path = self._write(tmp_path, lines, "\r")
+        with pytest.raises(CsvFormatError) as exc:
+            read_labeled_csv(path)
+        assert str(exc.value) == f"{path}:{self.AT + 1}: label must be -1 or 1, got '0'"
+
+    @pytest.mark.parametrize("chunk, offset", [(2, -1), (3, 0)])
+    def test_fault_at_a_chunk_edge(self, tmp_path, chunk, offset):
+        """A fault on the last line of chunk 2 or the first of chunk 3; the faulty line
+        has the length of a sound one, so the chunks keep their edges."""
+        lines = self._lines()
+        path = self._write(tmp_path, lines)
+        with open(path, encoding="utf-8") as handle:
+            edge = sum(len(handle.readlines(1 << 20)) for _ in range(chunk - 1))
+        fault = self.ROW.replace("5,", "x,")
+        lines[edge + offset] = fault
+        path, error = _csv_error(tmp_path, "\n".join(lines) + "\n")
+        assert error == f"{path}:{edge + offset + 1}: invalid score {fault.split(',')[0]!r}"
+
+    def test_rows_before_the_header_are_not_data(self, tmp_path):
+        """A first chunk numpy could convert whole still has its header checked."""
+        path, error = _csv_error(tmp_path, "\n".join(self._lines()[1:]) + "\n")
+        assert error == f"{path}:1: expected header 'score,label', got {self.ROW!r}"
+
+    def test_a_chunk_of_empty_lines_alone(self, tmp_path):
+        """A chunk holding nothing but empty lines gives no rows and no warning."""
+        lines = self._lines()[:1000] + [""] * 2_200_000 + ["-0.5,-1"]  # chunk 2 all empty
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sample = read_labeled_csv(str(path))
+        assert np.array_equal(sample.scores(), [0.123456789012345] * 999 + [-0.5])
+        assert np.array_equal(sample.labels(), [1] * 999 + [-1])
 
 
 class TestStrictNumberSyntax:
