@@ -49,11 +49,11 @@ from .empirical import (
 from .metrics import (CostParams, NasVariant, QConfig, _check_beta,
                       misclassification_cost, prediction_error, shifted_prevalence)
 from .quantifiers import (
+    _q_measures_of_mass,
     bayes_classifier,
     f_optimal_classifier,
     locally_best_classifier,
     minimax_classifier,
-    q_measure_of_mass,
     q_optimal_classifier,
 )
 
@@ -65,6 +65,8 @@ EXIT_DATA = 2
 EXIT_VIOLATION = 3
 
 _ORACLE_TOL = 1e-12
+
+_NAS_DEFAULT = NasVariant.NAS_STAR.value
 
 
 class _UsageError(Exception):
@@ -103,7 +105,7 @@ def _add_model_flags(parser: argparse.ArgumentParser, with_defaults: bool = True
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--beta", type=float, action="append", metavar="B",
                         help="measure weight, repeatable (default 1 and 2)")
-    parser.add_argument("--nas", choices=[v.value for v in NasVariant], default="nas-star",
+    parser.add_argument("--nas", choices=[v.value for v in NasVariant], default=_NAS_DEFAULT,
                         help="calibration score used in Q (default %(default)s)")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="output file (default: stdout)")
@@ -150,11 +152,20 @@ def _comment(command: str, cfg: RunConfig, betas: tuple[float, ...]) -> str:
             f"beta={_fmt_betas(betas)} nas={cfg.nas_variant.value}")
 
 
-def _write_csv(out: str | None, comment: str, header: list[str], rows) -> None:
-    lines = [f"# {comment}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(v if isinstance(v, str) else repr(float(v)) for v in row))
-    text = "\n".join(lines) + "\n"
+def _write_csv(out: str | None, comment: str, header: list[str], columns) -> None:
+    """Write a CSV artifact to ``out``, or to stdout when ``out`` is None.
+
+    The text is a ``# comment`` line, the ``header`` line and one line per row of
+    ``columns``, a sequence of equal-length columns in ``header`` order.  A column of
+    ``str`` (the ``optimize`` row names) is written as is; any other column is
+    converted to Python floats in one ``np.asarray(column, float).tolist()`` and each
+    value written as its ``repr``, the shortest text that reads back as the same
+    float, so every artifact round-trips bit for bit.
+    """
+    cells = [column if isinstance(column[0], str)
+             else list(map(repr, np.asarray(column, dtype=float).tolist()))
+             for column in columns]
+    text = "\n".join([f"# {comment}", ",".join(header), *map(",".join, zip(*cells))]) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -169,13 +180,10 @@ def _cmd_figure_qcurve(args: argparse.Namespace) -> int:
     u = np.linspace(0.0, 1.0, grid)
     if not np.any(u == model.p):
         u = np.sort(np.append(u, model.p))
-    header = ["u"]
-    columns: list = [u]
-    for beta in cfg.betas:
-        header.append(f"q_beta_{beta:g}")
-        columns.append(q_measure_of_mass(model, u, beta, cfg.nas_variant))
+    header = ["u", *(f"q_beta_{beta:g}" for beta in cfg.betas)]
+    columns = [u, *_q_measures_of_mass(model, u, cfg.betas, cfg.nas_variant)]
     comment = f"{_comment('figure-qcurve', cfg, cfg.betas)} grid={grid}"
-    _write_csv(cfg.out, comment, header, zip(*columns))
+    _write_csv(cfg.out, comment, header, columns)
     return EXIT_OK
 
 
@@ -196,7 +204,7 @@ def _cmd_figure_error(args: argparse.Namespace) -> int:
         prediction_error(lb.rates, w),
     ]
     comment = f"{_comment('figure-error', cfg, (beta,))} grid={grid}"
-    _write_csv(cfg.out, comment, header, zip(*columns))
+    _write_csv(cfg.out, comment, header, columns)
     return EXIT_OK
 
 
@@ -233,7 +241,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     if cfg.out is not None:
         comment = (f"{_comment('optimize', cfg, cfg.betas)} "
                    f"cost-fn={args.cost_fn:g} cost-fp={args.cost_fp:g}")
-        _write_csv(cfg.out, comment, header, rows)
+        _write_csv(cfg.out, comment, header, list(zip(*rows)))
     else:
         print(f"{header[0]:<22}" + "".join(f"{h:>14}" for h in header[1:]))
         for name, *values in rows:
@@ -299,6 +307,10 @@ def _cmd_quantify(args: argparse.Namespace) -> int:
     if (args.threshold is None) == (args.rule is None):
         raise _UsageError("provide exactly one of --threshold or --rule")
     betas = _betas(args, (1.0,))
+    if args.rule != "q-optimal" and (args.beta or args.nas is not None):
+        used = "--threshold" if args.rule is None else f"--rule {args.rule}"
+        raise _UsageError(f"give neither --beta nor --nas with {used} "
+                          "(they set the measure of --rule q-optimal)")
     given = [v is not None for v in (args.mu, args.nu, args.sigma, args.p)]
     model = None
     if args.threshold is not None:
@@ -324,7 +336,7 @@ def _cmd_quantify(args: argparse.Namespace) -> int:
         elif args.rule == "locally-best":
             classifier = locally_best_classifier(model).classifier
         else:
-            config = QConfig(beta=betas[0], nas_variant=NasVariant(args.nas))
+            config = QConfig(beta=betas[0], nas_variant=NasVariant(args.nas or _NAS_DEFAULT))
             classifier = q_optimal_classifier(model, config).classifier
 
     rates = estimate_rates(train, classifier)
@@ -433,8 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(sub, with_defaults=False)
     sub.add_argument("--beta", type=float, action="append", metavar="B",
                      help="measure weight for --rule q-optimal (default 1)")
-    sub.add_argument("--nas", choices=[v.value for v in NasVariant], default="nas-star",
-                     help="calibration score for --rule q-optimal (default %(default)s)")
+    sub.add_argument("--nas", choices=[v.value for v in NasVariant], default=None,
+                     help=f"calibration score for --rule q-optimal (default {_NAS_DEFAULT})")
     sub.set_defaults(handler=_cmd_quantify)
 
     sub = subparsers.add_parser("oracle", help="randomized enumeration checks")

@@ -93,6 +93,9 @@ class LabeledSample:
         self._labels = labels.astype(np.int8)
         self._labels.flags.writeable = False
 
+    def __reduce__(self):  # unpickle through the constructor, so the arrays stay read-only
+        return LabeledSample, (self._scores, self._labels)
+
     @property
     def n(self) -> int:
         return len(self._scores)

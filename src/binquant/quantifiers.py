@@ -38,6 +38,7 @@ from .binormal import (
     ThresholdClassifier,
     _ULPS,
     _score_at_posterior,
+    _special,
     _upper_mass,
     _z_at_posterior,
     _z_at_upper_mass,
@@ -206,19 +207,37 @@ def _q_value(model: BinormalModel, tpr, u, b2: float, nas_variant: NasVariant):
     return _q_formula(tpr, nas_vals, b2)
 
 
-def _measure_of_mass(model: BinormalModel, u, value, at_full: float):
-    """Evaluate ``value(tpr, u)`` at the mass-u cut-points; 0 at u = 0, ``at_full`` at u = 1."""
+def _measures_of_mass(model: BinormalModel, u, measures) -> list:
+    """Evaluate each ``(value, at_full)`` of ``measures`` at the mass-u cut-points, solved
+    once: ``value(tpr, u)`` inside (0, 1), 0 at u = 0 and ``at_full`` at u = 1.  Gives one
+    array per measure, or one float each when ``u`` is a scalar."""
     scalar = np.ndim(u) == 0
     arr = np.atleast_1d(_check_unit_interval(u, "predicted-positive mass"))
 
-    out = np.zeros(arr.shape)
     interior = (arr > 0.0) & (arr < 1.0)
-    if np.any(interior):
-        ui = arr[interior]
+    ui = arr[interior]
+    if ui.size:
         tpr = std_normal_cdf(model.d - _z_at_upper_mass(model, ui))
-        out[interior] = value(tpr, ui)
-    out[arr >= 1.0] = at_full
-    return float(out[0]) if scalar else out
+    results = []
+    for value, at_full in measures:
+        out = np.zeros(arr.shape)
+        if ui.size:
+            out[interior] = value(tpr, ui)
+        out[arr >= 1.0] = at_full
+        results.append(float(out[0]) if scalar else out)
+    return results
+
+
+def _q_measure(model: BinormalModel, beta: float, nas_variant: NasVariant):
+    """The Q measure as a ``(value, at_full)`` pair of ``_measures_of_mass``."""
+    b2 = _check_beta(beta)
+    return (lambda tpr, ui: _q_value(model, tpr, ui, b2, nas_variant),
+            float(_q_value(model, 1.0, 1.0, b2, nas_variant)))
+
+
+def _q_measures_of_mass(model: BinormalModel, u, betas, nas_variant: NasVariant) -> list:
+    """``q_measure_of_mass`` for each of ``betas``, from one solve of the mass-u cut-points."""
+    return _measures_of_mass(model, u, [_q_measure(model, beta, nas_variant) for beta in betas])
 
 
 def q_measure_of_mass(model: BinormalModel, u, beta: float, nas_variant: NasVariant = NasVariant.NAS_STAR):
@@ -232,11 +251,7 @@ def q_measure_of_mass(model: BinormalModel, u, beta: float, nas_variant: NasVari
     which is 0 except for ``nas`` with p > 1/2, where n = (2p - 1) / p.
     Vectorizes over ``u``.
     """
-    b2 = _check_beta(beta)
-    return _measure_of_mass(
-        model, u, lambda tpr, ui: _q_value(model, tpr, ui, b2, nas_variant),
-        float(_q_value(model, 1.0, 1.0, b2, nas_variant)),
-    )
+    return _q_measures_of_mass(model, u, (beta,), nas_variant)[0]
 
 
 def f_measure_of_mass(model: BinormalModel, u, beta: float):
@@ -248,10 +263,10 @@ def f_measure_of_mass(model: BinormalModel, u, beta: float):
     value.  Vectorizes over ``u``.
     """
     b2 = _check_beta(beta)
-    return _measure_of_mass(
-        model, u, lambda tpr, ui: _f_formula(model.p * tpr, model.p, ui, b2),
+    return _measures_of_mass(model, u, [(
+        lambda tpr, ui: _f_formula(model.p * tpr, model.p, ui, b2),
         _f_formula(model.p, model.p, 1.0, b2),
-    )
+    )])[0]
 
 
 def q_optimal_classifier(model: BinormalModel, config: QConfig) -> OptimizedClassifier:
@@ -281,12 +296,14 @@ def q_optimal_classifier(model: BinormalModel, config: QConfig) -> OptimizedClas
     log_offset = math.log(c) + math.log(b2 * p)
     logit_p = math.log(p / (1.0 - p))
 
+    ndtr = _special().ndtr  # called on floats, without std_normal_cdf's array handling
+
     def rises(z: float) -> float:
         """log(posterior c nas^2 / (beta^2 p tpr^2)) at z; positive where Q rises with u."""
         # c nas = 1 - u + shift, where 1 - u is the mixture CDF at z, formed without cancellation.
-        c_nas = p * std_normal_cdf(z - d) + (1.0 - p) * std_normal_cdf(z) + shift
+        c_nas = p * float(ndtr(z - d)) + (1.0 - p) * float(ndtr(z)) + shift
         log_posterior = -float(np.logaddexp(0.0, -(logit_p + d * (z - 0.5 * d))))
-        return log_posterior + 2.0 * (math.log(c_nas) - math.log(std_normal_cdf(d - z))) - log_offset
+        return log_posterior + 2.0 * (math.log(c_nas) - math.log(float(ndtr(d - z)))) - log_offset
 
     hi = 1.0 - _MASS_EDGE
     if hi <= p:

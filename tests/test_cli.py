@@ -4,6 +4,7 @@ Commands run in-process through ``main(argv)``; files go to pytest tmp
 directories.  Determinism assertions compare bytes, not parsed values.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -19,6 +20,9 @@ from binquant.empirical import RNG_ALGORITHM, ScoreSample, write_labeled_csv, wr
 from binquant.binormal import BinormalModel, ThresholdClassifier
 from binquant.empirical import (estimate_rates, quantify_sample, read_labeled_csv, read_score_csv,
                                 sample_binormal)
+from binquant.metrics import QConfig, prediction_error
+from binquant.quantifiers import (locally_best_classifier, minimax_classifier, q_measure_of_mass,
+                                  q_optimal_classifier)
 
 
 def _read_csv(path):
@@ -242,6 +246,34 @@ class TestQuantifyFlagsFirst:
         assert capsys.readouterr().err == ("error: give none of --mu/--nu/--sigma/--p with "
                                            "--threshold (they set the model of --rule)\n")
 
+    @pytest.mark.parametrize("flags, used", [
+        (["--threshold", "1", "--beta", "3"], "--threshold"),
+        (["--threshold", "1", "--beta", "3", "--nas", "nas"], "--threshold"),
+        (["--threshold", "1", "--nas", "nas-star"], "--threshold"),
+        (["--rule", "minimax", "--beta", "3"], "--rule minimax"),
+        (["--rule", "locally-best", "--nas", "nas"], "--rule locally-best"),
+    ])
+    def test_measure_flags_without_q_optimal_are_a_usage_error(self, tmp_path, flags, used,
+                                                               capsys):
+        missing = str(tmp_path / "missing.csv")
+        assert main(["quantify", missing, missing, *flags]) == EXIT_USAGE
+        assert capsys.readouterr().err == (f"error: give neither --beta nor --nas with {used} "
+                                           "(they set the measure of --rule q-optimal)\n")
+
+    def test_invalid_beta_wins_over_the_unused_flag(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        assert main(["quantify", missing, missing, "--rule", "minimax", "--beta", "0"]) == EXIT_USAGE
+        assert "beta must be finite and positive" in capsys.readouterr().err
+
+    def test_q_optimal_reads_both_flags(self, sample_files, capsys):
+        base = ["quantify", *sample_files, "--rule", "q-optimal"]
+        assert main(base) == EXIT_OK
+        default = capsys.readouterr().out
+        assert main([*base, "--nas", "nas-star", "--beta", "1"]) == EXIT_OK
+        assert capsys.readouterr().out == default
+        assert main([*base, "--nas", "nas", "--beta", "3"]) == EXIT_OK
+        assert capsys.readouterr().out != default
+
 
 @pytest.fixture(scope="module")
 def large_files(tmp_path_factory):
@@ -427,6 +459,110 @@ class TestOptimizeReadmeExample:
     def test_nonfinite_cost_is_a_usage_error(self, flag, value, capsys):
         assert main(["optimize", flag, value]) == EXIT_USAGE
         assert "costs must be finite" in capsys.readouterr().err
+
+
+class TestCsvWriter:
+    """``_write_csv`` takes columns and writes each float as its ``repr``."""
+
+    def test_string_column_passes_through(self, tmp_path):
+        path = tmp_path / "t.csv"
+        cli._write_csv(str(path), "note", ["name", "x", "y"],
+                       [("a", "b=2"), [1.0, np.float64(0.1)], np.array([-0.0, 1e-300])])
+        assert path.read_text() == "# note\nname,x,y\na,1.0,-0.0\nb=2,0.1,1e-300\n"
+
+    def test_one_row(self, capsys):
+        cli._write_csv(None, "c", ["u", "q"], [np.array([0.5]), [1 / 3]])
+        assert capsys.readouterr().out == f"# c\nu,q\n0.5,{1 / 3!r}\n"
+
+    def test_grid_two_error_figure(self, tmp_path):
+        path = tmp_path / "e.csv"
+        assert main(["figure-error", "--grid", "2", "--out", str(path)]) == EXIT_OK
+        model = BinormalModel(mu=0.0, nu=2.0, sigma=1.0, p=0.25)
+        rules = [q_optimal_classifier(model, QConfig(beta=1.0)), minimax_classifier(model),
+                 locally_best_classifier(model)]
+        rows = [",".join(repr(float(v)) for v in [w, *(prediction_error(r.rates, w) for r in rules)])
+                for w in (0.0, 1.0)]
+        assert path.read_text().splitlines()[1:] == ["w,err_qopt,err_minimax,err_locallybest", *rows]
+
+    @pytest.mark.parametrize("argv", [
+        ["figure-qcurve", "--grid", "2"],
+        ["figure-qcurve", "--beta", "0.5", "--beta", "3", "--nas", "nas", "--p", "0.7"],
+        ["figure-error", "--grid", "5"],
+    ])
+    def test_stdout_equals_out_file(self, argv, tmp_path, capsys):
+        path = tmp_path / "f.csv"
+        assert main([*argv, "--out", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == path.read_text()
+
+    def test_qcurve_grid_two_rows(self, tmp_path):
+        path = tmp_path / "q.csv"
+        assert main(["figure-qcurve", "--grid", "2", "--p", "0.3", "--out", str(path)]) == EXIT_OK
+        model = BinormalModel(mu=0.0, nu=2.0, sigma=1.0, p=0.3)
+        lines = path.read_text().splitlines()
+        assert lines[1] == "u,q_beta_1,q_beta_2"
+        assert lines[2:] == [",".join(repr(float(v)) for v in
+                                      [u, q_measure_of_mass(model, u, 1.0),
+                                       q_measure_of_mass(model, u, 2.0)])
+                             for u in (0.0, 0.3, 1.0)]
+
+
+# sha256 of the analytic artifacts, recorded with numpy 2.4 and scipy 1.17 on x86-64
+# before the CSV writer took columns; figure-qcurve's stdout has its file's digest.
+GOLDEN_MODELS = {
+    "readme-default": ["--mu", "0", "--nu", "2", "--sigma", "1", "--p", "0.25"],
+    "tiny-sigma": ["--mu", "0", "--nu", "2e-9", "--sigma", "1e-9", "--p", "0.25"],
+    "offset-1e6": ["--mu", "1000000", "--nu", "1000002", "--sigma", "1", "--p", "0.25"],
+    "p-above-half-nas": ["--mu", "0", "--nu", "2", "--sigma", "1", "--p", "0.7",
+                         "--nas", "nas", "--beta", "0.5", "--beta", "3"],
+}
+GOLDEN_SHA256 = {
+    "readme-default": {
+        "optimize": "25240e9b29745b6a9e42f5e5fe4f89d1a71e13b729c43fcf15598d95ab8a3716",
+        "figure-qcurve": "24a5d1686ac02f93a5933dcfe7d8ebb8aebf1b467f1838325c4dbfc33744e8a3",
+        "figure-error": "291d20f0db7b6cf0dbe5de2dd89f8724f7b92fbf90accade99f6f789a65ed9bb",
+    },
+    "tiny-sigma": {
+        "optimize": "5be528d86d8d4b205a0f17ef3bbd827eb2d66c273b8ae182e6c8f3159ca21903",
+        "figure-qcurve": "20ae490b305f084782049bef5f28190f416b7b20783fbef4bf9a2f583a1eb8ab",
+        "figure-error": "9604b952356380b4795939544534aae165fc749a31c6f9aba816d2b0356303e3",
+    },
+    "offset-1e6": {
+        "optimize": "aba16b5fdd83c4c615cca6b92751c27f8c510e3ec8cbd78160d80f17bc7c2407",
+        "figure-qcurve": "d1d7ff59c44006f420ab2fea2f3f0ecc2e23426167708b2fca2e0be3bd4f1dae",
+        "figure-error": "d8dd4b9c2df3d58cec5f0ce922430031471d869cbf1116e328e90338367f7066",
+    },
+    "p-above-half-nas": {
+        "optimize": "6c1b325ca39ad75881382b07ddd953783f14708d99f8a8fb676d8df36f825417",
+        "figure-qcurve": "5a5d0c776511961eb5bc1f4df206d2aebf7ba762e85032d64625d4bfcf597bf0",
+        "figure-error": "d4e47ed2e23ada66586c542e6f4c9b931a06fcc3d3bce9ab23758dabef1fdce2",
+    },
+}
+
+
+class TestGoldenOutput:
+    """The artifacts stay byte for byte what they were.  Another numpy or scipy
+    release may move a last digit of ``ndtr`` or ``log``, so the digests are
+    compared only under the releases that recorded them."""
+
+    @pytest.fixture(autouse=True)
+    def _recorded_releases(self):
+        import scipy
+        releases = tuple(".".join(v.split(".")[:2]) for v in (np.__version__, scipy.__version__))
+        if releases != ("2.4", "1.17"):
+            pytest.skip(f"digests recorded with numpy 2.4 and scipy 1.17, not {releases}")
+
+    @pytest.mark.parametrize("name", GOLDEN_MODELS)
+    def test_artifacts_match_recorded_digests(self, name, tmp_path, capsys):
+        flags = GOLDEN_MODELS[name]
+        for command, digest in GOLDEN_SHA256[name].items():
+            path = tmp_path / f"{command}.csv"
+            assert main([command, *flags, "--out", str(path)]) == EXIT_OK
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, command
+        assert main(["figure-qcurve", *flags]) == EXIT_OK
+        stdout = capsys.readouterr().out.encode()
+        assert hashlib.sha256(stdout).hexdigest() == GOLDEN_SHA256[name]["figure-qcurve"]
 
 
 class TestFileErrors:

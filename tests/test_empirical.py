@@ -222,6 +222,15 @@ class TestArrayStorage:
         with pytest.raises(ValueError):
             target.scores[0] = 1
 
+    def test_unpickled_labeled_sample_is_read_only(self):
+        sample = pickle.loads(pickle.dumps(LabeledSample([1.0, -0.0], [1, -1])))
+        assert np.array_equal(sample.scores().view(np.uint64), np.array([1.0, -0.0]).view(np.uint64))
+        assert sample.labels().tolist() == [1, -1] and sample.labels().dtype == np.int8
+        for array in (sample.scores(), sample.labels()):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1
+
     def test_constructors_copy_their_input(self):
         scores = np.array([0.5, 1.5])
         labels = np.array([-1, 1], dtype=np.int8)

@@ -23,6 +23,7 @@ from binquant.metrics import CostParams, NasVariant, QConfig, prediction_error, 
 from binquant.quantifiers import (
     DegenerateClassifierError,
     DegenerateCostError,
+    _q_measures_of_mass,
     adjusted_count,
     bayes_classifier,
     classify_and_count,
@@ -205,6 +206,36 @@ class TestQMeasureOfMass:
         near_full = q_measure_of_mass(END_MODEL, 1.0 - 1e-12, 0.5, NasVariant.NAS)
         assert abs(at_full - near_full) <= 1e-10
         assert q_measure_of_mass(END_MODEL, 1.0, 0.5, NasVariant.NAS_STAR) == 0.0
+
+
+class TestSharedGridSolve:
+    """``figure-qcurve`` solves the mass-u cut-points once for all betas; each
+    column must equal a ``q_measure_of_mass`` call of its own, bit for bit."""
+
+    BETAS = (0.5, 1.0, 2.0, 3.0)
+
+    @pytest.mark.parametrize("model, nas_variant", [
+        (DEFAULT_MODEL, NasVariant.NAS_STAR),
+        (BinormalModel(mu=0.0, nu=2e-9, sigma=1e-9, p=0.25), NasVariant.NAS_STAR),
+        (END_MODEL, NasVariant.NAS),  # p > 1/2: Q is not 0 at u = 1
+    ])
+    def test_columns_equal_separate_calls(self, model, nas_variant):
+        u = np.sort(np.append(np.linspace(0.0, 1.0, 101), model.p))
+        assert u[0] == 0.0 and model.p in u and u[-1] == 1.0
+        columns = _q_measures_of_mass(model, u, self.BETAS, nas_variant)
+        assert len(columns) == len(self.BETAS)
+        for beta, column in zip(self.BETAS, columns):
+            alone = q_measure_of_mass(model, u, beta, nas_variant)
+            assert column.view(np.uint64).tolist() == alone.view(np.uint64).tolist()
+        for point in (0.0, model.p, 1.0):
+            values = _q_measures_of_mass(model, point, self.BETAS, nas_variant)
+            assert values == [q_measure_of_mass(model, point, beta, nas_variant)
+                              for beta in self.BETAS]
+            assert all(type(value) is float for value in values)
+
+    def test_invalid_beta_is_rejected(self):
+        with pytest.raises(ValueError, match="beta"):
+            _q_measures_of_mass(DEFAULT_MODEL, 0.5, (1.0, math.inf), NasVariant.NAS_STAR)
 
 
 class TestQOptimalClassifier:
