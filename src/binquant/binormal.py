@@ -152,7 +152,8 @@ class Rates:
 
 def _check_levels(u) -> np.ndarray:
     arr = np.asarray(u, dtype=float)
-    if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0)):
+    # min and max propagate nan, and -0.0 > 0.0 is False, so nan, +-inf and +-0.0 fail too
+    if arr.size and not (arr.min() > 0.0 and arr.max() < 1.0):
         raise ValueError("probability level must lie strictly inside (0, 1)")
     return arr
 

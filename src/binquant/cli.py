@@ -311,6 +311,8 @@ def _cmd_quantify(args: argparse.Namespace) -> int:
         used = "--threshold" if args.rule is None else f"--rule {args.rule}"
         raise _UsageError(f"give neither --beta nor --nas with {used} "
                           "(they set the measure of --rule q-optimal)")
+    if len(betas) > 1:
+        raise _UsageError(f"--rule q-optimal takes one --beta, got {len(betas)}")
     given = [v is not None for v in (args.mu, args.nu, args.sigma, args.p)]
     model = None
     if args.threshold is not None:
@@ -444,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="named cut-point construction")
     _add_model_flags(sub, with_defaults=False)
     sub.add_argument("--beta", type=float, action="append", metavar="B",
-                     help="measure weight for --rule q-optimal (default 1)")
+                     help="measure weight for --rule q-optimal, given at most once (default 1)")
     sub.add_argument("--nas", choices=[v.value for v in NasVariant], default=None,
                      help=f"calibration score for --rule q-optimal (default {_NAS_DEFAULT})")
     sub.set_defaults(handler=_cmd_quantify)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,11 +137,14 @@ def sample_binormal(model: BinormalModel, n: int, seed: int) -> LabeledSample:
     rng = np.random.default_rng(seed)
     u_label = rng.random(n)
     u_score = rng.random(n)
-    is_positive = u_label < model.p
-    z = std_normal_quantile(u_score)
-    scores = np.where(is_positive, model.nu, model.mu) + model.sigma * z
-    labels = np.where(is_positive, POSITIVE_LABEL, NEGATIVE_LABEL)
-    return LabeledSample(scores, labels)
+    # The positive mask as int8 0/1 picks each class mean and label without a
+    # branch per record.  The scores are the published sum, added in the other
+    # order, so they keep their bits.
+    positive = (u_label < model.p).view(np.int8)
+    scores = std_normal_quantile(u_score)
+    scores *= model.sigma
+    scores += np.array([model.mu, model.nu])[positive]
+    return LabeledSample(scores, positive * 2 - 1)
 
 
 def _class_split(sample: LabeledSample, task: str) -> tuple[np.ndarray, int, int]:
@@ -194,11 +198,9 @@ def fit_binormal(sample: LabeledSample) -> BinormalModel:
     """
     positive, n_pos, _ = _class_split(sample, "model fitting")
     scores = sample.scores()
-    nu = float(np.mean(scores[positive]))
-    mu = float(np.mean(scores[~positive]))
-    pooled_ss = float(np.sum((scores[positive] - nu) ** 2)) + float(
-        np.sum((scores[~positive] - mu) ** 2)
-    )
+    pos, neg = scores.compress(positive), scores.compress(~positive)
+    nu, mu = float(np.mean(pos)), float(np.mean(neg))
+    pooled_ss = float(np.sum((pos - nu) ** 2)) + float(np.sum((neg - mu) ** 2))
     dof = sample.n - 2
     if dof <= 0 or pooled_ss <= 0.0:
         raise ValueError("model fitting needs within-class score spread")
@@ -242,6 +244,10 @@ def _line_fault(line: str, names: list[str]) -> str:
         try:
             value = _loadtxt([line], dtype=dtype, usecols=column)
         except ValueError:
+            # numpy rejects an ASCII integer beyond int64 as it rejects bad syntax, but
+            # only the label's value is at fault; numpy strips the whitespace str.strip does
+            if name == "label" and re.fullmatch(r"[+-]?[0-9]+", token.strip()):
+                return f"{fault} {token!r}"
             return f"invalid {name} {token!r}"
         if not test(value).all():
             return f"{fault} {token!r}"

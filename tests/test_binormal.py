@@ -5,10 +5,13 @@ arithmetic (mpmath) and rounded to double precision; the code under test
 must reproduce them through its own standardized-frame route.
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binquant.binormal import (
     BinormalModel,
@@ -80,6 +83,32 @@ class TestStdNormalQuantile:
             with pytest.raises(ValueError):
                 std_normal_quantile(u)
 
+    def test_accepts_the_smallest_subnormal_level(self):
+        assert math.isfinite(std_normal_quantile(5e-324))
+        assert np.isfinite(std_normal_quantile(np.array([5e-324, 0.5]))).all()
+
+
+_QUANTILES = {"std_normal_quantile": std_normal_quantile,
+              "mixture_quantile": functools.partial(mixture_quantile, DEFAULT_MODEL)}
+_LEVEL_FAULT = r"^probability level must lie strictly inside \(0, 1\)$"
+
+
+@pytest.mark.parametrize("name", _QUANTILES)
+class TestLevelArrays:
+    """An array of levels is rejected as a whole when one level lies outside (0, 1),
+    wherever it sits, with the message a scalar level gets."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0], ids=repr)
+    @pytest.mark.parametrize("at", [0, 4, 9])
+    def test_one_bad_level_rejects_the_array(self, name, bad, at):
+        u = np.linspace(0.05, 0.95, 10)
+        u[at] = bad
+        with pytest.raises(ValueError, match=_LEVEL_FAULT):
+            _QUANTILES[name](u)
+
+    def test_empty_array_passes(self, name):
+        assert _QUANTILES[name](np.empty(0)).shape == (0,)
+
 
 class TestMixtureCdf:
     def test_value_at_one(self):
@@ -143,6 +172,23 @@ class TestMixtureQuantile:
                 rates = classifier_rates(model, ThresholdClassifier(t))
                 above = model.p * rates.tpr + (1.0 - model.p) * rates.fpr
                 assert abs(above - (1.0 - (1.0 - tail))) <= 1e-12 * tail
+
+
+_TAIL_LEVELS = st.one_of(
+    st.floats(-300.0, math.log10(0.5)).map(lambda t: 10.0 ** t),
+    st.floats(-16.0, math.log10(0.5)).map(lambda t: 1.0 - 10.0 ** t),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(u=_TAIL_LEVELS, mu=st.floats(-100.0, 100.0), log_sigma=st.floats(-2.0, 2.0),
+       log_d=st.floats(-2.0, 1.0), p=st.floats(0.001, 0.999))
+def test_mixture_round_trip_holds_in_both_tails(u, mu, log_sigma, log_d, p):
+    """|mixture_cdf(mixture_quantile(u)) - u| <= 1e-10, the documented tolerance, at
+    levels from 1e-300 up to 1 - 1e-16."""
+    sigma = 10.0 ** log_sigma
+    model = BinormalModel(mu=mu, nu=mu + 10.0 ** log_d * sigma, sigma=sigma, p=p)
+    assert abs(mixture_cdf(model, mixture_quantile(model, u)) - u) <= 1e-10
 
 
 class TestPosterior:

@@ -265,6 +265,16 @@ class TestQuantifyFlagsFirst:
         assert main(["quantify", missing, missing, "--rule", "minimax", "--beta", "0"]) == EXIT_USAGE
         assert "beta must be finite and positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("betas", [("1", "3"), ("3", "1"), ("2", "2")])
+    def test_repeated_beta_with_q_optimal_is_a_usage_error(self, sample_files, tmp_path, betas,
+                                                           capsys):
+        """Each order once gave the threshold of its first --beta and dropped the rest."""
+        flags = ["--rule", "q-optimal", *(arg for beta in betas for arg in ("--beta", beta))]
+        missing = str(tmp_path / "missing.csv")
+        for files in (sample_files, (missing, missing)):
+            assert main(["quantify", *files, *flags]) == EXIT_USAGE
+            assert capsys.readouterr() == ("", "error: --rule q-optimal takes one --beta, got 2\n")
+
     def test_q_optimal_reads_both_flags(self, sample_files, capsys):
         base = ["quantify", *sample_files, "--rule", "q-optimal"]
         assert main(base) == EXIT_OK

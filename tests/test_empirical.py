@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -39,6 +39,22 @@ from binquant.quantifiers import DegenerateClassifierError
 PHI_ONE = 0.8413447460685429
 
 DEFAULT_MODEL = BinormalModel(mu=0.0, nu=2.0, sigma=1.0, p=0.25)
+
+
+@st.composite
+def _models(draw) -> BinormalModel:
+    """Models with sigma from 1e-9 to 1e6, offsets up to 1e6 and priors from 0.001 to 0.999."""
+    mu = draw(st.floats(-1e6, 1e6))
+    nu = mu + 10.0 ** draw(st.floats(-9.0, 6.0))
+    if not mu < nu:  # a gap below half an ulp of mu
+        nu = np.nextafter(mu, math.inf)
+    return BinormalModel(mu=mu, nu=float(nu), sigma=10.0 ** draw(st.floats(-9.0, 6.0)),
+                         p=draw(st.floats(0.001, 0.999)))
+
+
+# One sample of more than 2^16 records, past any small-array path of numpy.
+_LARGE = dict(model=BinormalModel(mu=-123456.789, nu=987.5, sigma=3.7e-4, p=0.3), n=70_000,
+              seed=2**62 + 1)
 
 
 class TestSampleBinormal:
@@ -95,6 +111,20 @@ class TestSampleBinormal:
         assert np.array_equal(sample.labels(), np.where(positive, POSITIVE_LABEL, NEGATIVE_LABEL))
         assert "ndtri" in RNG_ALGORITHM
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(model=_models(), n=st.integers(1, 5000), seed=st.integers(0, 2**63 - 1))
+    @example(**_LARGE)
+    def test_matches_the_published_reference_bit_for_bit(self, model, n, seed):
+        sample = sample_binormal(model, n, seed)
+        rng = np.random.default_rng(seed)
+        u_label, u_score = rng.random(n), rng.random(n)
+        positive = u_label < model.p
+        expected = np.where(positive, model.nu, model.mu) + model.sigma * special.ndtri(u_score)
+        assert sample.scores().dtype == np.float64
+        assert np.array_equal(sample.scores().view(np.uint64), expected.view(np.uint64))
+        assert sample.labels().dtype == np.int8
+        assert np.array_equal(sample.labels(), np.where(positive, 1, -1).astype(np.int8))
+
 
 class TestEstimateRates:
     def test_separated_sample(self):
@@ -150,6 +180,27 @@ class TestQuantifySample:
 
 
 class TestFitBinormal:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(model=_models(), n=st.integers(1, 5000), seed=st.integers(0, 2**63 - 1))
+    @example(**_LARGE)
+    def test_matches_a_boolean_indexing_reference_bit_for_bit(self, model, n, seed):
+        """The fit equals the textbook estimates, each class taken by boolean indexing, or
+        raises where they give no model."""
+        sample = sample_binormal(model, n, seed)
+        scores, positive = sample.scores(), sample.labels() == POSITIVE_LABEL
+        n_pos = int(np.count_nonzero(positive))
+        if 0 < n_pos < n:
+            nu, mu = float(np.mean(scores[positive])), float(np.mean(scores[~positive]))
+            pooled_ss = (float(np.sum((scores[positive] - nu) ** 2))
+                         + float(np.sum((scores[~positive] - mu) ** 2)))
+            if mu < nu and pooled_ss > 0.0 and n > 2:
+                expected = BinormalModel(mu=mu, nu=nu, sigma=math.sqrt(pooled_ss / (n - 2)),
+                                         p=n_pos / n)
+                assert repr(fit_binormal(sample)) == repr(expected)
+                return
+        with pytest.raises(ValueError):
+            fit_binormal(sample)
+
     def test_recovers_generating_parameters(self):
         sample = sample_binormal(DEFAULT_MODEL, 100_000, seed=7)
         fit = fit_binormal(sample)
@@ -572,10 +623,19 @@ class TestStrictNumberSyntax:
         path, error = _csv_error(tmp_path, f"score,label\n{token},1\n")
         assert error == f"{path}:2: invalid score {token!r}"
 
-    @pytest.mark.parametrize("token", ["1_0", "\u0661"])
+    @pytest.mark.parametrize("token", ["1_0", "\u0661", "1.5", "1_000_000_000_000_000_000_000",
+                                       "\u0661" * 25, "99999999999999999999.0"])
     def test_label_syntax_outside_ascii_integers_is_invalid(self, tmp_path, token):
         path, error = _csv_error(tmp_path, f"score,label\n0.5,1\n1.5,{token}\n")
         assert error == f"{path}:3: invalid label {token!r}"
+
+    @pytest.mark.parametrize("token", ["99999999999999999999", "-99999999999999999999",
+                                       "+9223372036854775808", "-9223372036854775809",
+                                       " 99999999999999999999"])
+    def test_label_beyond_int64_is_a_value_fault(self, tmp_path, token):
+        """numpy cannot read it as int64, but its syntax is an ASCII integer."""
+        path, error = _csv_error(tmp_path, f"score,label\n0.5,1\n0.7,{token}\n")
+        assert error == f"{path}:3: label must be -1 or 1, got {token!r}"
 
     def test_signs_leading_zeros_and_spaces_are_accepted(self, tmp_path):
         path = tmp_path / "data.csv"
