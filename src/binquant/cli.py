@@ -20,6 +20,7 @@ import argparse
 import functools
 import json
 import os
+import stat
 import sys
 import threading
 from dataclasses import dataclass
@@ -27,14 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binormal import BinormalModel, ThresholdClassifier, classifier_rates
-from .discrete_oracle import (
-    MAX_ATOMS,
-    brute_force_fbeta_max,
-    local_bayes_check,
-    minimax_comparison,
-    random_population,
-    thresholded_fbeta_sup,
-)
+from .discrete_oracle import MAX_ATOMS, _check_population, random_population, thresholded_fbeta_sup
 from .empirical import (
     CsvFormatError,
     LabeledSample,
@@ -251,16 +245,22 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 def _read_inputs(train_path: str, target_path: str) -> tuple[LabeledSample, ScoreSample]:
     """Read the train and target files of ``quantify``: the target in a forked child
-    while this process reads the train file, where the platform can fork and this
-    process runs one thread (forking a threaded process can deadlock).  Elsewhere, or
-    when the fork fails, both are read here, one after the other.
+    while this process reads the train file, where the target is a regular file, the
+    platform can fork and this process runs one thread (forking a threaded process can
+    deadlock).  Otherwise, or when the fork fails, both are read here, one after the
+    other: a pipe or FIFO target may be the train file's own stream, and two readers
+    of one stream would split its lines between them.
 
     Either way the train file's error wins, as in a sequential read.  The child sends
     back ``(True, sample)`` or ``(False, error)`` through a pipe and never writes to
     stdout or stderr.  Any other ending of the child makes this process read the target
     itself, so the same result or error comes out.
     """
-    if not hasattr(os, "fork") or threading.active_count() != 1:
+    try:
+        regular = stat.S_ISREG(os.stat(target_path).st_mode)
+    except OSError:  # reading the target raises it again, in file order
+        regular = False
+    if not (regular and hasattr(os, "fork") and threading.active_count() == 1):
         return read_labeled_csv(train_path), read_score_csv(target_path)
     import pickle
     import signal
@@ -375,26 +375,25 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             except RuntimeError as exc:  # the draw gave up on separating posteriors
                 raise ValueError(f"trial {trial}: {exc}") from exc
             kind = "tied" if tied else "distinct"
-            for beta in betas:
-                _, brute = brute_force_fbeta_max(population, beta)
-                threshold = thresholded_fbeta_sup(population, beta)
-                checks += 1
-                if abs(brute - threshold) > _ORACLE_TOL:
-                    record(trial, kind, f"fbeta beta={beta:g}",
-                           f"brute={brute!r} threshold={threshold!r}", population.atoms)
             fn_cost, fp_cost = (float(v) for v in rng.uniform(0.05, 2.0, size=2))
             cost = CostParams(fn_cost=fn_cost, fp_cost=fp_cost)
             ratio = cost.posterior_cutoff
             cut_below = ratio * float(rng.uniform(0.05, 0.95))
             cut_above = ratio + (1.0 - ratio) * float(rng.uniform(0.05, 0.95))
-            for cut in (cut_below, cut_above):
-                report = local_bayes_check(population, cost, cut)
+            found = _check_population(population, betas, cost, (cut_below, cut_above), minimax=True)
+            for beta, (_, brute) in zip(betas, found.fbeta):
+                threshold = thresholded_fbeta_sup(population, beta)
+                checks += 1
+                if abs(brute - threshold) > _ORACLE_TOL:
+                    record(trial, kind, f"fbeta beta={beta:g}",
+                           f"brute={brute!r} threshold={threshold!r}", population.atoms)
+            for report in found.local_bayes:
                 checks += 1
                 if not report.holds:
-                    record(trial, kind, f"local-bayes cut={cut!r}",
+                    record(trial, kind, f"local-bayes cut={report.cut_level!r}",
                            f"cut_cost={report.cut_cost!r} best={report.best_cost!r}",
                            population.atoms)
-            comparison = minimax_comparison(population)
+            comparison = found.minimax
             checks += 1
             if comparison.brute_value > comparison.threshold_value + _ORACLE_TOL:
                 record(trial, kind, "minimax",

@@ -14,10 +14,13 @@ turns three optimality statements into machine-checkable facts:
   criterion by more than discreteness allows (``minimax_comparison``).
 
 Enumeration is vectorized over bit masks: subset index sets are encoded
-as integers, with bit i meaning atom i is included.  Each population
-caches one mask-indexed pair of arrays, the positive and negative mass of
-every subset, and each check scans that pair in cache-sized slices of
-``_BLOCK`` masks, so no temporary spans all 2^n subsets.  Threshold sets
+as integers, with bit i meaning atom i is included.  The positive and
+negative mass of every subset are streamed in slices of ``_BLOCK``
+consecutive masks: the table of the low 15 atoms is built once by
+doubling, and each deeper slice is its parent slice plus one more atom,
+the doubling build's own recurrence, so every mass keeps its bits.  One
+pass per population reduces each slice while it is in cache, for every
+check at once, and no temporary spans all 2^n subsets.  Threshold sets
 are evaluated at their own masks only.
 """
 
@@ -50,7 +53,8 @@ MAX_ATOMS = 20
 _MASS_SUM_TOL = 1e-12
 _COST_SLACK = 1e-12
 _EQUALITY_TOL = 1e-12
-_BLOCK = 1 << 15  # masks per slice: 256 KiB per float64 temporary
+_LOW_ATOMS = 15
+_BLOCK = 1 << _LOW_ATOMS  # masks per slice: 256 KiB per float64 temporary
 
 
 @dataclass(frozen=True)
@@ -104,17 +108,15 @@ class DiscretePopulation:
     def subset_masses(self) -> tuple[np.ndarray, np.ndarray]:
         """Positive and negative mass of every subset, indexed by bit mask.
 
-        Built once per population by doubling: the masks with top bit i
-        are the masks below 2^i plus atom i.  Shared by every check; the
-        arrays are read-only.
+        Built once per population from the slices the checks stream, so
+        each value has the bits the checks see.  The checks themselves never
+        hold all 2^n masses; the arrays are read-only.
         """
         pos = np.empty(1 << self.n_atoms)
         neg = np.empty(1 << self.n_atoms)
-        pos[0] = neg[0] = 0.0
-        for i, (mp, mn) in enumerate(self.atoms):
-            k = 1 << i
-            np.add(pos[:k], mp, out=pos[k:2 * k])
-            np.add(neg[:k], mn, out=neg[k:2 * k])
+        for start, slice_pos, slice_neg in _slices(self):
+            pos[start:start + slice_pos.size] = slice_pos
+            neg[start:start + slice_neg.size] = slice_neg
         pos.flags.writeable = False
         neg.flags.writeable = False
         return pos, neg
@@ -134,6 +136,32 @@ class DiscretePopulation:
                           for q in levels for strict in (True, False)])
         masks.flags.writeable = False
         return masks
+
+    @cached_property
+    def _low_masses(self) -> tuple[np.ndarray, np.ndarray]:
+        """Positive and negative mass of every subset of the low 15 atoms (of all
+        atoms when n <= 15), indexed by bit mask.
+
+        Built by doubling: the masks with top bit i are the masks below 2^i
+        plus atom i, so every mass is summed from 0.0 in atom order.  It is
+        the first slice of ``_slices``; the arrays are read-only.
+        """
+        low = min(self.n_atoms, _LOW_ATOMS)
+        pos = np.empty(1 << low)
+        neg = np.empty(1 << low)
+        pos[0] = neg[0] = 0.0
+        for i, (mp, mn) in enumerate(self.atoms[:low]):
+            k = 1 << i
+            np.add(pos[:k], mp, out=pos[k:2 * k])
+            np.add(neg[:k], mn, out=neg[k:2 * k])
+        pos.flags.writeable = False
+        neg.flags.writeable = False
+        return pos, neg
+
+    @cached_property
+    def _threshold_masses(self) -> tuple[np.ndarray, np.ndarray]:
+        """Positive and negative mass of each of ``_threshold_masks``."""
+        return _masses_at(self, self._threshold_masks)
 
 
 @dataclass(frozen=True)
@@ -164,12 +192,45 @@ def _posterior_cut(posteriors: tuple[float, ...], level: float, strict: bool = T
     return sum(1 << i for i, q in enumerate(posteriors) if (q > level if strict else q >= level))
 
 
-def _blocks(population: DiscretePopulation):
+def _slices(population: DiscretePopulation):
     """Yield (first mask, positive masses, negative masses) for each slice of
-    ``_BLOCK`` consecutive masks; the slices are views of ``subset_masses``."""
-    pos, neg = population.subset_masses
-    for start in range(0, pos.size, _BLOCK):
-        yield start, pos[start:start + _BLOCK], neg[start:start + _BLOCK]
+    ``_BLOCK`` consecutive masks, or of all 2^n masks when n <= 15.
+
+    The first slice is ``_low_masses``.  Each deeper slice is its parent, the
+    slice without its top atom, plus that atom, which is the doubling
+    build's own recurrence, so every mass is summed from 0.0 in atom order.
+    The slices thus come depth first, out of mask order.  There is one
+    buffer per depth, so a yielded slice is valid only until the next one
+    is asked for.
+    """
+    atoms = population.atoms
+    low_pos, low_neg = population._low_masses
+    yield 0, low_pos, low_neg
+    if len(atoms) <= _LOW_ATOMS:
+        return
+    pos = [low_pos, *np.empty((len(atoms) - _LOW_ATOMS, _BLOCK))]
+    neg = [low_neg, *np.empty((len(atoms) - _LOW_ATOMS, _BLOCK))]
+    # (depth, first mask, top atom) of the slices to come, the next one last
+    pending = [(1, 1 << i, i) for i in reversed(range(_LOW_ATOMS, len(atoms)))]
+    while pending:
+        depth, start, top = pending.pop()
+        np.add(pos[depth - 1], atoms[top][0], out=pos[depth])
+        np.add(neg[depth - 1], atoms[top][1], out=neg[depth])
+        yield start, pos[depth], neg[depth]
+        pending += [(depth + 1, start | 1 << i, i) for i in reversed(range(top + 1, len(atoms)))]
+
+
+def _masses_at(population: DiscretePopulation, masks) -> tuple[np.ndarray, np.ndarray]:
+    """Positive and negative mass of the subsets in the integer array ``masks``,
+    with the bits ``_slices`` gives them: the low atoms' mass from
+    ``_low_masses``, then each higher atom added in order."""
+    low_pos, low_neg = population._low_masses
+    pos, neg = low_pos[masks & (_BLOCK - 1)], low_neg[masks & (_BLOCK - 1)]
+    for i in range(_LOW_ATOMS, population.n_atoms):
+        has = (masks >> i & 1).astype(bool)
+        pos[has] += population.atoms[i][0]
+        neg[has] += population.atoms[i][1]
+    return pos, neg
 
 
 def subset_confusion(population: DiscretePopulation, classifier: SubsetClassifier) -> ConfusionProbs:
@@ -185,43 +246,22 @@ def subset_confusion(population: DiscretePopulation, classifier: SubsetClassifie
     )
 
 
-def brute_force_fbeta_max(
-    population: DiscretePopulation, beta: float
-) -> tuple[SubsetClassifier, float]:
-    """Maximize the F measure over all 2^n subset classifiers.
-
-    Ties are broken deterministically: among subsets attaining the maximal
-    value, the lexicographically smallest sorted index tuple wins.  The
-    empty prediction, whose cells are 0, scores 0.
-    """
-    b2 = _check_beta(beta)
-    prevalence = population.prevalence
-    best_value = -math.inf
-    tied_masks: list[int] = []
-    for start, pos, neg in _blocks(population):
-        values = _f_formula(pos, prevalence, pos + neg, b2)
-        block_max = float(np.max(values))
-        if block_max < best_value:
-            continue
-        if block_max > best_value:
-            best_value, tied_masks = block_max, []
-        tied_masks += (start + np.flatnonzero(values == block_max)).tolist()
-    n = population.n_atoms
-    best_mask = min(tied_masks, key=lambda m: _mask_to_indices(m, n))
-    return SubsetClassifier(frozenset(_mask_to_indices(best_mask, n))), best_value
+def _subset_costs(cost: CostParams, prevalence: float, pos, neg, out=(None, None)):
+    """Expected cost fn_cost (P[A] - pos) + fp_cost neg of predicting positive on
+    subsets with these masses; vectorizes.  ``out``, two arrays shaped like the
+    masses, takes the result (in the first) and its fp term."""
+    total, fp_term = out
+    fn_term = np.multiply(np.subtract(prevalence, pos, out=total), cost.fn_cost, out=total)
+    return np.add(fn_term, np.multiply(neg, cost.fp_cost, out=fp_term), out=total)
 
 
-def thresholded_fbeta_sup(population: DiscretePopulation, beta: float) -> float:
-    """Best F measure over posterior threshold sets.
-
-    Candidates are {posterior > q} and {posterior >= q} for q ranging over
-    the distinct atom posteriors together with 0 and 1; on a finite
-    population every threshold set equals one of these.
-    """
-    b2 = _check_beta(beta)
-    masks = population._threshold_masks
-    pos, neg = (masses[masks] for masses in population.subset_masses)
-    return float(np.max(_f_formula(pos, population.prevalence, pos + neg, b2)))
+def _worst_error(prevalence: float, pos, neg, out=(None, None)):
+    """max(fpr, fnr) of subsets with these masses; vectorizes.  ``out``, two
+    arrays shaped like the masses, takes the result (in the first) and fnr."""
+    worst, fnr = out
+    fpr = np.divide(neg, 1.0 - prevalence, out=worst)
+    fnr = np.subtract(1.0, np.divide(pos, prevalence, out=fnr), out=fnr)
+    return np.maximum(fpr, fnr, out=worst)
 
 
 @dataclass(frozen=True)
@@ -245,53 +285,6 @@ class LocalBayesReport:
     holds: bool
 
 
-def local_bayes_check(
-    population: DiscretePopulation, cost: CostParams, cut_level: float
-) -> LocalBayesReport:
-    """Verify constrained cost optimality of the posterior cut at ``cut_level``.
-
-    The cut H = {posterior > cut_level} with predicted mass m is compared
-    by exhaustive enumeration against every subset whose predicted mass is
-    >= m when cut_level < fp_cost / (fn_cost + fp_cost), <= m when above,
-    and against every subset at equality.
-    """
-    if not (0.0 <= cut_level <= 1.0):
-        raise ValueError(f"cut level must lie in [0, 1], got {cut_level!r}")
-    prevalence = population.prevalence
-
-    def costs(pos, neg):
-        return cost.fn_cost * (prevalence - pos) + cost.fp_cost * neg
-
-    cut_mask = _posterior_cut(population.posteriors, cut_level)
-    cut_indices = frozenset(_mask_to_indices(cut_mask, population.n_atoms))
-    cut_pos, cut_neg = (masses[cut_mask] for masses in population.subset_masses)
-    cut_mass = float(cut_pos + cut_neg)
-    cut_cost = float(costs(cut_pos, cut_neg))
-
-    ratio = cost.posterior_cutoff
-    if cut_level < ratio:
-        constraint, on_side = "mass_at_least", np.greater_equal
-    elif cut_level > ratio:
-        constraint, on_side = "mass_at_most", np.less_equal
-    else:
-        constraint, on_side = "all", None
-
-    best_cost = math.inf
-    for _, pos, neg in _blocks(population):
-        eligible = True if on_side is None else on_side(pos + neg, cut_mass)
-        best_cost = min(best_cost, float(np.min(costs(pos, neg), where=eligible, initial=math.inf)))
-    return LocalBayesReport(
-        cut_level=cut_level,
-        cost_ratio=ratio,
-        constraint=constraint,
-        included=cut_indices,
-        predicted_mass=cut_mass,
-        cut_cost=cut_cost,
-        best_cost=best_cost,
-        holds=cut_cost <= best_cost + _COST_SLACK,
-    )
-
-
 @dataclass(frozen=True)
 class MinimaxReport:
     """Best max(fpr, fnr) over all subsets versus over likelihood-ratio
@@ -305,6 +298,160 @@ class MinimaxReport:
     equal: bool
 
 
+@dataclass(frozen=True)
+class _Checks:
+    """What one ``_check_population`` pass found, in the order it was asked."""
+
+    fbeta: tuple[tuple[SubsetClassifier, float], ...]
+    local_bayes: tuple[LocalBayesReport, ...]
+    minimax: MinimaxReport | None
+
+
+def _check_population(
+    population: DiscretePopulation,
+    betas: tuple[float, ...] = (),
+    cost: CostParams | None = None,
+    cut_levels: tuple[float, ...] = (),
+    minimax: bool = False,
+) -> _Checks:
+    """Run the enumeration checks in one pass over the subset masses.
+
+    Finds the best F subset for each of ``betas``, checks the posterior cut
+    at each of ``cut_levels`` under ``cost`` against its side's subsets, and
+    compares the minimax levels if ``minimax`` is set.  Each slice is
+    reduced for every check while it is in cache, sharing ``pos + neg``
+    and one cost array.  Each check reduces the slice on its own, so each
+    result equals that of its public function, which is this pass asked for
+    that check alone.
+    """
+    b2s = [_check_beta(beta) for beta in betas]
+    for level in cut_levels:
+        if not (0.0 <= level <= 1.0):
+            raise ValueError(f"cut level must lie in [0, 1], got {level!r}")
+    prevalence, n = population.prevalence, population.n_atoms
+
+    # Each cut H = {posterior > level} with predicted mass m is compared against
+    # every subset whose predicted mass is >= m when the level is below the cost
+    # ratio, <= m when above, and against every subset at equality.
+    ratio = None if cost is None else cost.posterior_cutoff
+    cut_masks = np.array([_posterior_cut(population.posteriors, level) for level in cut_levels],
+                         dtype=np.int64)
+    cuts = []
+    for level, mask, pos, neg in zip(cut_levels, cut_masks.tolist(),
+                                     *_masses_at(population, cut_masks)):
+        if level < ratio:
+            constraint, outside = "mass_at_least", np.less
+        elif level > ratio:
+            constraint, outside = "mass_at_most", np.greater
+        else:
+            constraint, outside = "all", None
+        cuts.append((level, mask, float(pos + neg),
+                     float(_subset_costs(cost, prevalence, pos, neg)), constraint, outside))
+
+    f_best = [-math.inf] * len(b2s)
+    f_tied: list[list[int]] = [[] for _ in b2s]
+    best_costs = [math.inf] * len(cuts)
+    brute_value, brute_mask = math.inf, 0
+    # Slice-sized work arrays, reused: a fresh temporary of this size costs more
+    # in page faults than the arithmetic that fills it.
+    predicted, costs, work, spare = np.empty((4, min(1 << n, _BLOCK)))
+    excluded = np.empty(predicted.shape, dtype=bool)
+    for start, pos, neg in _slices(population):
+        np.add(pos, neg, out=predicted)
+        for k, b2 in enumerate(b2s):
+            values = _f_formula(pos, prevalence, predicted, b2, out=(work, spare))
+            block_max = float(values.max())
+            if block_max < f_best[k]:
+                continue
+            if block_max > f_best[k]:
+                f_best[k], f_tied[k] = block_max, []
+            f_tied[k] += (start + np.flatnonzero(values == block_max)).tolist()
+        if cuts:
+            least = float(_subset_costs(cost, prevalence, pos, neg, out=(costs, work)).min())
+        for k, (_, _, cut_mass, _, _, outside) in enumerate(cuts):
+            if least >= best_costs[k]:
+                continue  # no subset of this slice, eligible or not, costs less
+            if outside is None:
+                best_costs[k] = least
+                continue
+            # Excluded subsets get +inf and the rest -inf, so the maximum with the
+            # costs masks them with no branch on each subset.
+            np.subtract(outside(predicted, cut_mass, out=excluded), 0.5, out=work)
+            np.multiply(work, math.inf, out=work)
+            best_costs[k] = min(best_costs[k], float(np.maximum(costs, work, out=work).min()))
+        if minimax:
+            values = _worst_error(prevalence, pos, neg, out=(work, spare))
+            best = int(values.argmin())
+            # The first subset in mask order wins ties, and the slices come out of mask order.
+            if values[best] < brute_value or (values[best] == brute_value
+                                              and start + best < brute_mask):
+                brute_value, brute_mask = float(values[best]), start + best
+
+    def classifier(mask: int) -> SubsetClassifier:
+        return SubsetClassifier(frozenset(_mask_to_indices(mask, n)))
+
+    # Among tied F maxima, the lexicographically smallest sorted index tuple wins.
+    fbeta = tuple((classifier(min(tied, key=lambda m: _mask_to_indices(m, n))), value)
+                  for tied, value in zip(f_tied, f_best))
+    local_bayes = tuple(
+        LocalBayesReport(cut_level=level, cost_ratio=ratio, constraint=constraint,
+                         included=frozenset(_mask_to_indices(mask, n)), predicted_mass=cut_mass,
+                         cut_cost=cut_cost, best_cost=best_cost,
+                         holds=cut_cost <= best_cost + _COST_SLACK)
+        for (level, mask, cut_mass, cut_cost, constraint, _), best_cost in zip(cuts, best_costs))
+    report = None
+    if minimax:
+        # The first threshold set in enumeration order wins ties.
+        values = _worst_error(prevalence, *population._threshold_masses)
+        best = int(np.argmin(values))
+        threshold_value = float(values[best])
+        report = MinimaxReport(
+            brute_value=brute_value,
+            brute_classifier=classifier(brute_mask),
+            threshold_value=threshold_value,
+            threshold_classifier=classifier(int(population._threshold_masks[best])),
+            equal=abs(brute_value - threshold_value) <= _EQUALITY_TOL,
+        )
+    return _Checks(fbeta=fbeta, local_bayes=local_bayes, minimax=report)
+
+
+def brute_force_fbeta_max(
+    population: DiscretePopulation, beta: float
+) -> tuple[SubsetClassifier, float]:
+    """Maximize the F measure over all 2^n subset classifiers.
+
+    Ties are broken deterministically: among subsets attaining the maximal
+    value, the lexicographically smallest sorted index tuple wins.  The
+    empty prediction, whose cells are 0, scores 0.
+    """
+    return _check_population(population, betas=(beta,)).fbeta[0]
+
+
+def thresholded_fbeta_sup(population: DiscretePopulation, beta: float) -> float:
+    """Best F measure over posterior threshold sets.
+
+    Candidates are {posterior > q} and {posterior >= q} for q ranging over
+    the distinct atom posteriors together with 0 and 1; on a finite
+    population every threshold set equals one of these.
+    """
+    b2 = _check_beta(beta)
+    pos, neg = population._threshold_masses
+    return float(np.max(_f_formula(pos, population.prevalence, pos + neg, b2)))
+
+
+def local_bayes_check(
+    population: DiscretePopulation, cost: CostParams, cut_level: float
+) -> LocalBayesReport:
+    """Verify constrained cost optimality of the posterior cut at ``cut_level``.
+
+    The cut H = {posterior > cut_level} with predicted mass m is compared
+    by exhaustive enumeration against every subset whose predicted mass is
+    >= m when cut_level < fp_cost / (fn_cost + fp_cost), <= m when above,
+    and against every subset at equality.
+    """
+    return _check_population(population, cost=cost, cut_levels=(cut_level,)).local_bayes[0]
+
+
 def minimax_comparison(population: DiscretePopulation) -> MinimaxReport:
     """Compare exhaustive and threshold-family minimax error levels.
 
@@ -314,35 +461,7 @@ def minimax_comparison(population: DiscretePopulation) -> MinimaxReport:
     populations the brute-force minimum can be strictly smaller because
     the ratio takes only finitely many values; it can never be larger.
     """
-    prevalence = population.prevalence
-
-    def worst(pos, neg):
-        return np.maximum(neg / (1.0 - prevalence), 1.0 - pos / prevalence)
-
-    # The first subset in mask order wins ties: a later slice must be strictly better.
-    brute_value, brute_mask = math.inf, 0
-    for start, pos, neg in _blocks(population):
-        values = worst(pos, neg)
-        best = int(np.argmin(values))
-        if values[best] < brute_value:
-            brute_value, brute_mask = float(values[best]), start + best
-
-    # The first threshold set in enumeration order wins ties.
-    masks = population._threshold_masks
-    values = worst(*(masses[masks] for masses in population.subset_masses))
-    best = int(np.argmin(values))
-    threshold_mask = int(masks[best])
-    threshold_value = float(values[best])
-
-    n = population.n_atoms
-
-    return MinimaxReport(
-        brute_value=brute_value,
-        brute_classifier=SubsetClassifier(frozenset(_mask_to_indices(brute_mask, n))),
-        threshold_value=threshold_value,
-        threshold_classifier=SubsetClassifier(frozenset(_mask_to_indices(threshold_mask, n))),
-        equal=abs(brute_value - threshold_value) <= _EQUALITY_TOL,
-    )
+    return _check_population(population, minimax=True).minimax
 
 
 def _distinct_posterior_population(rng: np.random.Generator, n_atoms: int) -> DiscretePopulation:

@@ -21,11 +21,15 @@ ASCII decimal such as ``-1.5`` or ``2e-3`` (``nan`` and ``inf`` parse but
 are rejected), a label an ASCII integer, so ``+1``, `` -1`` and ``01``
 are labels; ``1_0`` and non-ASCII digits are invalid.  The first faulty
 line raises ``CsvFormatError`` naming the file, the line and the token.
+A byte that is not UTF-8 counts as a fault of its line; read from a pipe,
+which cannot be read again to find that line, it names the file alone.
 """
 
 from __future__ import annotations
 
+import codecs
 import functools
+import io
 import math
 import re
 from dataclasses import dataclass
@@ -265,6 +269,29 @@ def _data_rows(path: str, header: str) -> np.ndarray:
     names = header.split(",")
     dtype = np.dtype([(name, _FIELDS[name][0]) for name in names])
     lineno, header_seen, parts = 1, False, []
+
+    def filtered(chunk: list[str]) -> None:
+        nonlocal lineno, header_seen
+        lines = list(map(str.strip, chunk))
+        numbers = [n for n, line in enumerate(lines, lineno) if line and line[0] != "#"]
+        if len(numbers) < len(lines):
+            lines = [lines[n - lineno] for n in numbers]
+        lineno += len(chunk)
+        if lines and not header_seen:
+            if lines[0] != header:
+                raise CsvFormatError(
+                    f"{path}:{numbers[0]}: expected header {header!r}, got {lines[0]!r}")
+            header_seen = True
+            del numbers[0], lines[0]
+        rows = _sound_rows(lines, dtype) if lines else np.empty(0, dtype)
+        lo, hi = 0, len(lines)  # bisect: lines[:lo] are sound, lines[:hi] are not
+        while rows is None and hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if _sound_rows(lines[lo:mid], dtype) is None else (mid, hi)
+        if rows is None:
+            raise CsvFormatError(f"{path}:{numbers[lo]}: {_line_fault(lines[lo], names)}")
+        parts.append(rows)
+
     with open(path, encoding="utf-8-sig") as handle:
         try:
             # readlines splits only on "\n" after newline translation; str.splitlines
@@ -276,32 +303,39 @@ def _data_rows(path: str, header: str) -> np.ndarray:
                     lineno += len(chunk)
                     parts.append(rows)
                     continue
-                lines = list(map(str.strip, chunk))
-                numbers = [n for n, line in enumerate(lines, lineno) if line and line[0] != "#"]
-                if len(numbers) < len(lines):
-                    lines = [lines[n - lineno] for n in numbers]
-                lineno += len(chunk)
-                if lines and not header_seen:
-                    if lines[0] != header:
-                        raise CsvFormatError(
-                            f"{path}:{numbers[0]}: expected header {header!r}, got {lines[0]!r}")
-                    header_seen = True
-                    del numbers[0], lines[0]
-                rows = _sound_rows(lines, dtype) if lines else np.empty(0, dtype)
-                lo, hi = 0, len(lines)  # bisect: lines[:lo] are sound, lines[:hi] are not
-                while rows is None and hi - lo > 1:
-                    mid = (lo + hi) // 2
-                    lo, hi = (lo, mid) if _sound_rows(lines[lo:mid], dtype) is None else (mid, hi)
-                if rows is None:
-                    raise CsvFormatError(f"{path}:{numbers[lo]}: {_line_fault(lines[lo], names)}")
-                parts.append(rows)
+                filtered(chunk)
         except UnicodeDecodeError as exc:
+            # The lines of the chunk went with the error.  Where the file can be read
+            # again, its lines up to the bad byte are checked, so that an earlier
+            # faulty line still wins, and the bad byte's line is named.
+            if handle.seekable():
+                handle.buffer.seek(0)
+                if found := _lines_before_bad_byte(handle.buffer.read()):
+                    lines, exc = found
+                    filtered(lines[lineno - 1:])
+                    raise CsvFormatError(f"{path}:{len(lines) + 1}: {exc}") from None
             raise CsvFormatError(f"{path}: {exc}") from None
     if not header_seen:
         raise CsvFormatError(f"{path}: missing {header!r} header")
     if not sum(map(len, parts)):
         raise CsvFormatError(f"{path}: no data rows")
     return np.concatenate(parts)
+
+
+def _lines_before_bad_byte(data: bytes) -> tuple[list[str], UnicodeDecodeError] | None:
+    """The lines of a file's bytes before the line of its first byte that is not
+    UTF-8, split as the reader splits them, and the decoding error with its
+    position counted from the start of that line; None if the bytes decode,
+    as they can when the file changed after the reader met the error."""
+    data = data.removeprefix(codecs.BOM_UTF8)
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        start = max(data.rfind(b"\n", 0, exc.start), data.rfind(b"\r", 0, exc.start)) + 1
+        lines = io.StringIO(data[:start].decode("utf-8"), newline=None).readlines()
+        return lines, UnicodeDecodeError(exc.encoding, data[start:], exc.start - start,
+                                         exc.end - start, exc.reason)
+    return None
 
 
 def read_labeled_csv(path: str) -> LabeledSample:

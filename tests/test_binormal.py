@@ -191,6 +191,42 @@ def test_mixture_round_trip_holds_in_both_tails(u, mu, log_sigma, log_d, p):
     assert abs(mixture_cdf(model, mixture_quantile(model, u)) - u) <= 1e-10
 
 
+@pytest.mark.parametrize("mu, sigma", [(1e6, 1e-3), (1e3, 1e-9), (1e6, 1e-9)])
+def test_round_trip_bound_holds_in_z_at_large_offsets(mu, sigma):
+    """Where |mu| / sigma is large the spacing of doubles near x, not the solver,
+    limits |mixture_cdf(x) - u|: the z-score that x rounds meets 1e-10, and x
+    misses only by what rounding it moves the mixture CDF."""
+    model = BinormalModel(mu=mu, nu=mu + 2.0 * sigma, sigma=sigma, p=0.3)
+    standard = BinormalModel(mu=0.0, nu=model.d, sigma=1.0, p=model.p)
+    u = np.linspace(0.1, 0.9, 81)
+    z = mixture_quantile(standard, u)
+    assert np.all(np.abs(mixture_cdf(standard, z) - u) <= 1e-10)
+    x = mixture_quantile(model, u)
+    assert np.array_equal(x, model.score(z))
+    move = np.spacing(np.maximum(np.abs(x), abs(mu))) / sigma
+    assert np.all(np.abs(mixture_cdf(model, x) - u) <= 1e-10 + move / math.sqrt(2.0 * math.pi))
+
+
+_SCORE_Z = st.one_of(st.floats(-40.0, 40.0), st.floats(-1e12, 1e12))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mu=st.floats(-1e6, 1e6), log_sigma=st.floats(-9.0, 6.0), log_d=st.floats(-2.0, 1.0),
+       p=st.floats(0.001, 0.999), zs=st.lists(_SCORE_Z, min_size=2, max_size=8))
+def test_rates_and_posterior_are_monotone_in_the_score(mu, log_sigma, log_d, p, zs):
+    """Over random models with sigma from 1e-9 to 1e6, a higher threshold never
+    raises tpr or fpr, and a higher score never lowers the posterior."""
+    sigma = 10.0 ** log_sigma
+    nu = max(mu + 10.0 ** log_d * sigma, math.nextafter(mu, math.inf))
+    model = BinormalModel(mu=mu, nu=nu, sigma=sigma, p=p)
+    scores = sorted(float(model.score(z)) for z in zs)
+    rates = [classifier_rates(model, ThresholdClassifier(t)) for t in scores]
+    posteriors = [posterior(model, t) for t in scores]
+    for lower, higher in zip(rates, rates[1:]):
+        assert higher.tpr <= lower.tpr and higher.fpr <= lower.fpr
+    assert all(a <= b for a, b in zip(posteriors, posteriors[1:]))
+
+
 class TestPosterior:
     def test_equals_prior_at_unit_score(self):
         """For the default parameters the posterior at x = 1 is exactly the prior."""

@@ -308,9 +308,9 @@ def _with_fault(tmp_path, source: str, line: int, text: str) -> str:
 
 
 class TestConcurrentRead:
-    """``quantify`` reads the target in a forked child while it reads the train file.
-    Results and errors match a sequential read, the child writes nothing and no
-    child is left behind."""
+    """``quantify`` reads a regular target file in a forked child while it reads the
+    train file.  Results and errors match a sequential read, the child writes nothing
+    and no child is left behind."""
 
     @pytest.fixture(autouse=True)
     def no_child_left(self):
@@ -386,6 +386,29 @@ class TestConcurrentRead:
         target = _with_fault(tmp_path, large_files[1], 65_000, "1.5x")
         assert main(["quantify", large_files[0], target, "--threshold", "1.0"]) == EXIT_DATA
         assert capfd.readouterr() == ("", f"error: {target}:65000: invalid score '1.5x'\n")
+
+    @staticmethod
+    def _quantify_stdin(train: str, data: bytes) -> subprocess.CompletedProcess:
+        """``quantify train /dev/stdin`` in a fresh interpreter, with ``data`` piped in."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        argv = [sys.executable, "-m", "binquant.cli", "quantify", train, "/dev/stdin",
+                "--threshold", "1.0"]
+        return subprocess.run(argv, input=data, capture_output=True, env=env, timeout=60)
+
+    def test_pipe_target_matches_the_file(self, large_files):
+        proc = self._quantify_stdin(large_files[0], Path(large_files[1]).read_bytes())
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr) == (
+            EXIT_OK, self._expected(*large_files), b"")
+
+    def test_one_pipe_for_both_files_gives_one_message(self, large_files):
+        """A pipe target is read after the train file, in this process, so when both
+        paths name the one pipe the train read takes every line, and the target read
+        meets the pipe's end on every run."""
+        data = Path(large_files[0]).read_bytes()
+        runs = [self._quantify_stdin("/dev/stdin", data) for _ in range(4)]
+        assert {(proc.returncode, proc.stdout, proc.stderr) for proc in runs} == {
+            (EXIT_DATA, b"", b"error: /dev/stdin: missing 'score' header\n")}
 
     def test_missing_target_names_the_path(self, large_files, tmp_path, capfd):
         missing = str(tmp_path / "missing.csv")
@@ -574,6 +597,16 @@ class TestGoldenOutput:
         stdout = capsys.readouterr().out.encode()
         assert hashlib.sha256(stdout).hexdigest() == GOLDEN_SHA256[name]["figure-qcurve"]
 
+    @pytest.mark.parametrize("flags, digest", [
+        ("--trials 20 --max-atoms 20 --seed 0",
+         "9058fb53450a33a5fa2292fdea7571d546ac9936d85130294781b914f590ec3d"),
+        ("--trials 200 --max-atoms 12 --seed 1",
+         "014700696ad22c8e8b7867249e0a18a2f101645bd89927a202e5e0c5b6613d05"),
+    ])
+    def test_oracle_stdout_matches_recorded_digest(self, flags, digest, capsys):
+        assert main(["oracle", *flags.split()]) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
 
 class TestFileErrors:
     def test_missing_train_file(self, sample_files, tmp_path, capsys):
@@ -595,7 +628,7 @@ class TestFileErrors:
         bad.write_bytes(b"score\n1.0\n\xff\n")
         assert main(["quantify", train, str(bad), "--threshold", "1"]) == EXIT_DATA
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {bad}: ") and "utf-8" in err
+        assert err.startswith(f"error: {bad}:3: ") and "utf-8" in err
 
 
 class TestFlagSet:

@@ -15,6 +15,8 @@ import pytest
 from binquant.discrete_oracle import (
     _BLOCK,
     MAX_ATOMS,
+    _check_population,
+    _slices,
     DiscretePopulation,
     SubsetClassifier,
     brute_force_fbeta_max,
@@ -365,3 +367,41 @@ class TestBlockScan:
         assert report.threshold_value == worst[threshold]
         assert report.threshold_classifier.included == frozenset(
             i for i in range(n) if threshold >> i & 1)
+
+
+def _pass_cases():
+    rng = np.random.default_rng(2718)
+    return [pytest.param(random_population(rng, n, tied=tied), id=f"n={n}-{kind}")
+            for n in range(2, MAX_ATOMS + 1)
+            for tied, kind in ((False, "distinct"), (True, "tied"))]
+
+
+class TestOnePass:
+    """``oracle`` runs every check on a population in one pass over its subset
+    masses; what the pass reports is what the separate calls report."""
+
+    @pytest.mark.parametrize("pop", _pass_cases())
+    def test_one_pass_equals_separate_calls(self, pop):
+        cost = CostParams(0.7, 1.3)
+        ratio = cost.posterior_cutoff
+        betas, levels = (0.5, 1.0, 2.0), (0.5 * ratio, ratio, 0.5 * (1.0 + ratio))
+        found = _check_population(pop, betas, cost, levels, minimax=True)
+        assert found.fbeta == tuple(brute_force_fbeta_max(pop, beta) for beta in betas)
+        assert found.local_bayes == tuple(local_bayes_check(pop, cost, level) for level in levels)
+        assert [r.constraint for r in found.local_bayes] == ["mass_at_least", "all", "mass_at_most"]
+        assert found.minimax == minimax_comparison(pop)
+
+    def test_minimax_tie_goes_to_the_first_mask_across_slices(self):
+        """17 atoms in 256ths, so every subset sum is exact.  {16} and {15, 16} tie
+        at the least max(fpr, fnr), 8/158, because atom 15 is positive only and fpr
+        is the larger rate of both.  They lie in slices 2 and 3, which the pass
+        visits in the order 0, 1, 3, 2; {16}, first in mask order, must still win."""
+        counts = [(0, 10)] * 15 + [(2, 0), (96, 8)]
+        pop = DiscretePopulation(atoms=tuple((a / 256, b / 256) for a, b in counts))
+        assert [start // _BLOCK for start, _, _ in _slices(pop)] == [0, 1, 3, 2]
+        pos, neg = pop.subset_masses
+        worst = np.maximum(neg / (1.0 - pop.prevalence), 1.0 - pos / pop.prevalence)
+        assert np.flatnonzero(worst == worst.min()).tolist() == [1 << 16, 1 << 15 | 1 << 16]
+        report = minimax_comparison(pop)
+        assert report.brute_value == worst.min() == 8 / 158
+        assert report.brute_classifier.included == frozenset({16})

@@ -6,6 +6,7 @@ is deterministic.
 """
 
 import math
+import os
 import pickle
 import warnings
 from pathlib import Path
@@ -433,6 +434,9 @@ class TestCsvErrors:
             read_score_csv(str(path))
 
 
+_BAD_BYTE_AT_4 = "'utf-8' codec can't decode byte 0xff in position 4: invalid start byte"
+
+
 def _csv_error(tmp_path, text, reader=read_labeled_csv):
     """Write ``text`` (str or bytes) to a file and return (path, the reader's error text)."""
     path = tmp_path / "data.csv"
@@ -493,7 +497,41 @@ class TestCsvErrorText:
 
     def test_invalid_utf8_names_the_file(self, tmp_path):
         path, error = _csv_error(tmp_path, b"score\n0.5\n\xff\n", read_score_csv)
-        assert error.startswith(f"{path}: 'utf-8' codec can't decode byte 0xff")
+        assert error == (f"{path}:3: 'utf-8' codec can't decode byte 0xff in position 0: "
+                         "invalid start byte")
+
+    @pytest.mark.parametrize("head, message", [
+        # a faulty line before the bad byte wins, also past the first 1 MiB chunk
+        (b"score\n0.5\nabc\n0.7\n", "3: invalid score 'abc'"),
+        (b"score\n" + b"0.5\n" * 300_000 + b"abc\n" + b"0.7\n" * 10, "300002: invalid score 'abc'"),
+        (b"score\n0.5\n0.7,1\n", "3: expected 1 field, got 2"),
+        (b"# no header yet\nscores\n", "2: expected header 'score', got 'scores'"),
+        # otherwise the bad byte's line is named, counted as the reader splits lines,
+        # and the byte's position is counted from the start of that line
+        (b"score\n0.5\n0.7\n", f"4: {_BAD_BYTE_AT_4}"),
+        (b"\xef\xbb\xbfscore\r\n0.5\r\n0.7\r", f"4: {_BAD_BYTE_AT_4}"),
+        (b"score\n" + b"0.5\n" * 300_000, f"300002: {_BAD_BYTE_AT_4}"),
+        (b"# \xe2\x82\xac\n", f"2: {_BAD_BYTE_AT_4}"),
+    ])
+    def test_invalid_utf8_after_other_lines(self, tmp_path, head, message):
+        """The reader meets the bad byte in the 1 MiB chunk it is reading, before it
+        checks that chunk's lines; what it reports still follows file order."""
+        path, error = _csv_error(tmp_path, head + b"0.8 \xff9\n0.9\n", read_score_csv)
+        assert error == f"{path}:{message}"
+
+    def test_invalid_utf8_from_a_pipe_names_the_file_alone(self):
+        """A pipe cannot be read again for the lines that went with the error."""
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, b"score\n0.5\nabc\n\xff\n")  # fits in the pipe's buffer
+            os.close(write_end)
+            path = f"/dev/fd/{read_end}"
+            with pytest.raises(CsvFormatError) as exc:
+                read_score_csv(path)
+        finally:
+            os.close(read_end)
+        assert str(exc.value) == (f"{path}: 'utf-8' codec can't decode byte 0xff in position 14: "
+                                  "invalid start byte")
 
     @pytest.mark.parametrize(
         "rows, message",
