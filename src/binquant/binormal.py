@@ -97,8 +97,7 @@ class BinormalModel:
                 f"negative-class mean must lie below positive-class mean, "
                 f"got mu={self.mu!r}, nu={self.nu!r}"
             )
-        if not (0.0 < self.p < 1.0):
-            raise ValueError(f"positive prior must lie in (0, 1), got {self.p!r}")
+        _check_prior(self.p)
 
     @property
     def d(self) -> float:
@@ -124,7 +123,8 @@ class ThresholdClassifier:
         if not math.isfinite(self.threshold):
             raise ValueError(f"threshold must be finite, got {self.threshold!r}")
 
-    def predicts_positive(self, score: float) -> bool:
+    def predicts_positive(self, score):
+        """Whether the rule flags the score positive; a float or an ndarray of them."""
         return score > self.threshold
 
 
@@ -148,6 +148,11 @@ class Rates:
     def fnr(self) -> float:
         """False negative rate, 1 - tpr."""
         return 1.0 - self.tpr
+
+
+def _check_prior(p: float) -> None:
+    if not (0.0 < p < 1.0):
+        raise ValueError(f"positive prior must lie in (0, 1), got {p!r}")
 
 
 def _check_levels(u) -> np.ndarray:
@@ -174,9 +179,34 @@ def std_normal_quantile(u):
     return out if np.ndim(u) else float(out)
 
 
+# The z-frame expressions, each formed in one place.  Their callers pass z as a float
+# or an ndarray, and they call the bare ufunc: on the floats of a bisection,
+# std_normal_cdf's array handling would cost more than the ufunc itself.
+
+def _cdf_in_z(d: float, pos: float, neg: float, z):
+    """The mixture CDF pos Phi(z - d) + neg Phi(z) in z."""
+    ndtr = _special().ndtr
+    return pos * ndtr(z - d) + neg * ndtr(z)
+
+
+def _tpr_in_z(d: float, z):
+    """True positive rate Phi(d - z) of the cut-point at the z-score z."""
+    return _special().ndtr(d - z)
+
+
+def _fpr_in_z(z):
+    """False positive rate Phi(-z) of the cut-point at the z-score z."""
+    return _special().ndtr(-z)
+
+
+def _log_ratio_in_z(d: float, z):
+    """Log likelihood ratio d (z - d / 2) at the z-score z."""
+    return d * (z - 0.5 * d)
+
+
 def _upper_mass(model: BinormalModel, z):
     """Mass above the z-score z, p Phi(d - z) + (1 - p) Phi(-z), to full relative accuracy."""
-    return model.p * _special().ndtr(model.d - z) + (1.0 - model.p) * _special().ndtr(-z)
+    return model.p * _tpr_in_z(model.d, z) + (1.0 - model.p) * _fpr_in_z(z)
 
 
 def _z_at_mass(d: float, pos: float, neg: float, u: np.ndarray) -> np.ndarray:
@@ -196,7 +226,7 @@ def _z_at_mass(d: float, pos: float, neg: float, u: np.ndarray) -> np.ndarray:
     log_u = np.log(u)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_MAX_NEWTON_STEPS):
-            cdf = pos * _special().ndtr(z - d) + neg * _special().ndtr(z)
+            cdf = _cdf_in_z(d, pos, neg, z)
             pdf = (pos * np.exp(-0.5 * (z - d) ** 2) + neg * np.exp(-0.5 * z * z)) / _SQRT_2PI
             gap = np.log(cdf) - log_u
             lo = np.where(gap < 0.0, z, lo)
@@ -226,7 +256,7 @@ def mixture_cdf(model: BinormalModel, x):
     float or an ndarray.
     """
     z = model.z_score(np.asarray(x, dtype=float))
-    out = model.p * _special().ndtr(z - model.d) + (1.0 - model.p) * _special().ndtr(z)
+    out = _cdf_in_z(model.d, model.p, 1.0 - model.p, z)
     return out if np.ndim(x) else float(out)
 
 
@@ -252,7 +282,7 @@ def likelihood_ratio(model: BinormalModel, x: float) -> float:
     exp(d (z - d / 2)) with z = (x - mu) / sigma; strictly increasing and
     equal to 1 at the component-mean midpoint (nu + mu) / 2.
     """
-    log_ratio = model.d * (model.z_score(x) - 0.5 * model.d)
+    log_ratio = _log_ratio_in_z(model.d, model.z_score(x))
     return math.exp(min(max(log_ratio, -_EXP_CLAMP), _EXP_CLAMP))
 
 
@@ -284,4 +314,4 @@ def classifier_rates(model: BinormalModel, classifier: ThresholdClassifier) -> R
     decrease in the threshold and tpr > fpr because d > 0.
     """
     z = model.z_score(classifier.threshold)
-    return Rates(tpr=float(_special().ndtr(model.d - z)), fpr=float(_special().ndtr(-z)))
+    return Rates(tpr=float(_tpr_in_z(model.d, z)), fpr=float(_fpr_in_z(z)))

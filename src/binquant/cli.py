@@ -23,26 +23,27 @@ import os
 import stat
 import sys
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
-from .binormal import BinormalModel, ThresholdClassifier, classifier_rates
+from .binormal import BinormalModel, ThresholdClassifier
 from .discrete_oracle import MAX_ATOMS, _check_population, random_population, thresholded_fbeta_sup
 from .empirical import (
     CsvFormatError,
     LabeledSample,
     ScoreSample,
     _flagged_fraction,
+    _write_csv,
     estimate_rates,
     fit_binormal,
     quantify_sample,
     read_labeled_csv,
     read_score_csv,
 )
-from .metrics import (CostParams, NasVariant, QConfig, _check_beta,
-                      misclassification_cost, prediction_error, shifted_prevalence)
+from .metrics import (CostParams, NasVariant, QConfig, _check_beta, misclassification_cost,
+                      prediction_error)
 from .quantifiers import (
+    _optimized,
     _q_measures_of_mass,
     bayes_classifier,
     f_optimal_classifier,
@@ -51,7 +52,7 @@ from .quantifiers import (
     q_optimal_classifier,
 )
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -62,19 +63,11 @@ _ORACLE_TOL = 1e-12
 
 _NAS_DEFAULT = NasVariant.NAS_STAR.value
 
+_BETAS_HELP = "measure weight, repeatable (default 1 and 2)"
+
 
 class _UsageError(Exception):
     """Bad flag values or flag combinations."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Model and evaluation settings shared by the analytic commands."""
-
-    model: BinormalModel
-    betas: tuple[float, ...]
-    nas_variant: NasVariant
-    out: str | None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,9 +89,8 @@ def _add_model_flags(parser: argparse.ArgumentParser, with_defaults: bool = True
                         help="positive-class prior (default %(default)s)")
 
 
-def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--beta", type=float, action="append", metavar="B",
-                        help="measure weight, repeatable (default 1 and 2)")
+def _add_shared_flags(parser: argparse.ArgumentParser, beta_help: str) -> None:
+    parser.add_argument("--beta", type=float, action="append", metavar="B", help=beta_help)
     parser.add_argument("--nas", choices=[v.value for v in NasVariant], default=_NAS_DEFAULT,
                         help="calibration score used in Q (default %(default)s)")
     parser.add_argument("--out", default=None, metavar="PATH",
@@ -122,13 +114,6 @@ def _model(args: argparse.Namespace) -> BinormalModel:
         raise _UsageError(str(exc)) from exc
 
 
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    betas = _betas(args, (1.0, 2.0))
-    return RunConfig(
-        model=_model(args), betas=betas, nas_variant=NasVariant(args.nas), out=args.out
-    )
-
-
 def _grid(args: argparse.Namespace) -> int:
     if args.grid < 2:
         raise _UsageError("--grid must be at least 2")
@@ -139,54 +124,32 @@ def _fmt_betas(betas: tuple[float, ...]) -> str:
     return ",".join(f"{b:g}" for b in betas)
 
 
-def _comment(command: str, cfg: RunConfig, betas: tuple[float, ...]) -> str:
+def _comment(command: str, model: BinormalModel, betas: tuple[float, ...],
+             nas_variant: NasVariant) -> str:
     """Provenance comment of an analytic command's CSV artifact."""
-    m = cfg.model
-    return (f"binquant {command} mu={m.mu:g} nu={m.nu:g} sigma={m.sigma:g} p={m.p:g} "
-            f"beta={_fmt_betas(betas)} nas={cfg.nas_variant.value}")
-
-
-def _write_csv(out: str | None, comment: str, header: list[str], columns) -> None:
-    """Write a CSV artifact to ``out``, or to stdout when ``out`` is None.
-
-    The text is a ``# comment`` line, the ``header`` line and one line per row of
-    ``columns``, a sequence of equal-length columns in ``header`` order.  A column of
-    ``str`` (the ``optimize`` row names) is written as is; any other column is
-    converted to Python floats in one ``np.asarray(column, float).tolist()`` and each
-    value written as its ``repr``, the shortest text that reads back as the same
-    float, so every artifact round-trips bit for bit.
-    """
-    cells = [column if isinstance(column[0], str)
-             else list(map(repr, np.asarray(column, dtype=float).tolist()))
-             for column in columns]
-    text = "\n".join([f"# {comment}", ",".join(header), *map(",".join, zip(*cells))]) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+    return (f"binquant {command} mu={model.mu:g} nu={model.nu:g} sigma={model.sigma:g} "
+            f"p={model.p:g} beta={_fmt_betas(betas)} nas={nas_variant.value}")
 
 
 def _cmd_figure_qcurve(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
+    betas, model, nas_variant = _betas(args, (1.0, 2.0)), _model(args), NasVariant(args.nas)
     grid = _grid(args)
-    model = cfg.model
     u = np.linspace(0.0, 1.0, grid)
     if not np.any(u == model.p):
         u = np.sort(np.append(u, model.p))
-    header = ["u", *(f"q_beta_{beta:g}" for beta in cfg.betas)]
-    columns = [u, *_q_measures_of_mass(model, u, cfg.betas, cfg.nas_variant)]
-    comment = f"{_comment('figure-qcurve', cfg, cfg.betas)} grid={grid}"
-    _write_csv(cfg.out, comment, header, columns)
+    header = ["u", *(f"q_beta_{beta:g}" for beta in betas)]
+    columns = [u, *_q_measures_of_mass(model, u, betas, nas_variant)]
+    comment = f"{_comment('figure-qcurve', model, betas, nas_variant)} grid={grid}"
+    _write_csv(args.out, comment, header, columns)
     return EXIT_OK
 
 
 def _cmd_figure_error(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
+    betas, model, nas_variant = _betas(args, (1.0,)), _model(args), NasVariant(args.nas)
+    if len(betas) > 1:
+        raise _UsageError(f"figure-error takes one --beta, got {len(betas)}")
     grid = _grid(args)
-    model = cfg.model
-    beta = cfg.betas[0]
-    q_opt = q_optimal_classifier(model, QConfig(beta=beta, nas_variant=cfg.nas_variant))
+    q_opt = q_optimal_classifier(model, QConfig(beta=betas[0], nas_variant=nas_variant))
     mm = minimax_classifier(model)
     lb = locally_best_classifier(model)
     w = np.linspace(0.0, 1.0, grid)
@@ -197,45 +160,35 @@ def _cmd_figure_error(args: argparse.Namespace) -> int:
         prediction_error(mm.rates, w),
         prediction_error(lb.rates, w),
     ]
-    comment = f"{_comment('figure-error', cfg, (beta,))} grid={grid}"
-    _write_csv(cfg.out, comment, header, columns)
+    comment = f"{_comment('figure-error', model, betas, nas_variant)} grid={grid}"
+    _write_csv(args.out, comment, header, columns)
     return EXIT_OK
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
-    model = cfg.model
+    betas, model, nas_variant = _betas(args, (1.0, 2.0)), _model(args), NasVariant(args.nas)
     try:
         cost = CostParams(fn_cost=args.cost_fn, fp_cost=args.cost_fp)
         bayes = bayes_classifier(model, cost)
     except ValueError as exc:  # degenerate or invalid costs have no cut-point
         raise _UsageError(f"cannot build the cost-optimal classifier: {exc}") from exc
 
-    rows: list[tuple[str, float, float, float, float, float]] = []
-    bayes_rates = classifier_rates(model, bayes)
-    bayes_mass = shifted_prevalence(bayes_rates, model.p)
-    bayes_cost = misclassification_cost(cost, bayes_rates, model.p)
-    rows.append((
-        "bayes", bayes.threshold, bayes_mass, bayes_rates.tpr, bayes_rates.fpr, bayes_cost,
-    ))
-    for name, opt in (("minimax", minimax_classifier(model)),
-                      ("locally_best", locally_best_classifier(model))):
-        rows.append((name, opt.classifier.threshold, opt.u_star,
-                     opt.rates.tpr, opt.rates.fpr, opt.objective_value))
-    for beta in cfg.betas:
-        opt = q_optimal_classifier(model, QConfig(beta=beta, nas_variant=cfg.nas_variant))
-        rows.append((f"q_optimal_beta={beta:g}", opt.classifier.threshold, opt.u_star,
-                     opt.rates.tpr, opt.rates.fpr, opt.objective_value))
-    for beta in cfg.betas:
-        opt = f_optimal_classifier(model, beta)
-        rows.append((f"f_optimal_beta={beta:g}", opt.classifier.threshold, opt.u_star,
-                     opt.rates.tpr, opt.rates.fpr, opt.objective_value))
+    solvers = {"q_optimal": lambda b: q_optimal_classifier(model, QConfig(b, nas_variant)),
+               "f_optimal": lambda b: f_optimal_classifier(model, b)}
+    named = [
+        ("bayes", _optimized(model, bayes, lambda r: misclassification_cost(cost, r, model.p))),
+        ("minimax", minimax_classifier(model)),
+        ("locally_best", locally_best_classifier(model)),
+        *((f"{kind}_beta={b:g}", solve(b)) for kind, solve in solvers.items() for b in betas),
+    ]
+    rows = [(name, opt.classifier.threshold, opt.u_star, opt.rates.tpr, opt.rates.fpr,
+             opt.objective_value) for name, opt in named]
 
     header = ["name", "threshold", "u_star", "tpr", "fpr", "objective"]
-    if cfg.out is not None:
-        comment = (f"{_comment('optimize', cfg, cfg.betas)} "
+    if args.out is not None:
+        comment = (f"{_comment('optimize', model, betas, nas_variant)} "
                    f"cost-fn={args.cost_fn:g} cost-fp={args.cost_fp:g}")
-        _write_csv(cfg.out, comment, header, list(zip(*rows)))
+        _write_csv(args.out, comment, header, list(zip(*rows)))
     else:
         print(f"{header[0]:<22}" + "".join(f"{h:>14}" for h in header[1:]))
         for name, *values in rows:
@@ -414,20 +367,22 @@ def build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text, handler in (
-        ("figure-qcurve", "Q measure over a predicted-mass grid", _cmd_figure_qcurve),
-        ("figure-error", "counting error over a shifted-prior grid", _cmd_figure_error),
+    for name, help_text, handler, beta_help in (
+        ("figure-qcurve", "Q measure over a predicted-mass grid", _cmd_figure_qcurve,
+         _BETAS_HELP),
+        ("figure-error", "counting error over a shifted-prior grid", _cmd_figure_error,
+         "measure weight of the q-optimal rule, given at most once (default 1)"),
     ):
         sub = subparsers.add_parser(name, help=help_text)
         _add_model_flags(sub)
-        _add_shared_flags(sub)
+        _add_shared_flags(sub, beta_help)
         sub.add_argument("--grid", type=int, default=1001,
                          help="grid resolution (default %(default)s)")
         sub.set_defaults(handler=handler)
 
     sub = subparsers.add_parser("optimize", help="optimal cut-points under the model")
     _add_model_flags(sub)
-    _add_shared_flags(sub)
+    _add_shared_flags(sub, _BETAS_HELP)
     sub.add_argument("--cost-fn", type=float, default=1.0,
                      help="false-negative cost for the bayes row (default %(default)s)")
     sub.add_argument("--cost-fp", type=float, default=1.0,

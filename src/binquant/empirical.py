@@ -30,8 +30,10 @@ from __future__ import annotations
 import codecs
 import functools
 import io
+import itertools
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,7 +170,7 @@ def estimate_rates(sample: LabeledSample, classifier: ThresholdClassifier) -> Ra
     the strict inequality of the rule.  Requires both classes present.
     """
     positive, n_pos, n_neg = _class_split(sample, "rate estimation")
-    flagged = sample.scores() > classifier.threshold
+    flagged = classifier.predicts_positive(sample.scores())
     tpr = float(np.count_nonzero(flagged & positive)) / n_pos
     fpr = float(np.count_nonzero(flagged & ~positive)) / n_neg
     return Rates(tpr=tpr, fpr=fpr)
@@ -189,8 +191,7 @@ def quantify_sample(
 
 def _flagged_fraction(target: ScoreSample, classifier: ThresholdClassifier) -> float:
     """Share of the sample the rule flags positive: the classify-and-count estimate."""
-    flagged = target.scores > classifier.threshold
-    return float(np.count_nonzero(flagged)) / target.n
+    return float(np.count_nonzero(classifier.predicts_positive(target.scores))) / target.n
 
 
 def fit_binormal(sample: LabeledSample) -> BinormalModel:
@@ -351,18 +352,32 @@ def read_score_csv(path: str) -> ScoreSample:
 
 def write_labeled_csv(sample: LabeledSample, path: str, comment: str | None = None) -> None:
     """Write a labeled sample; floats use shortest round-trip notation."""
-    rows = zip(sample.scores().tolist(), sample.labels().tolist())
-    _write_csv(path, comment, _LABELED_HEADER, (f"{score!r},{label}" for score, label in rows))
+    _write_csv(path, comment, _LABELED_HEADER.split(","), [sample.scores(), sample.labels()])
 
 
 def write_score_csv(sample: ScoreSample, path: str, comment: str | None = None) -> None:
     """Write an unlabeled sample; floats use shortest round-trip notation."""
-    _write_csv(path, comment, _SCORE_HEADER, map(repr, sample.scores.tolist()))
+    _write_csv(path, comment, [_SCORE_HEADER], [sample.scores])
 
 
-def _write_csv(path: str, comment: str | None, header: str, lines) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        if comment:
-            handle.write(f"# {comment}\n")
-        handle.write(header + "\n")
-        handle.writelines(line + "\n" for line in lines)
+def _write_csv(path: str | None, comment: str | None, header: list[str], columns) -> None:
+    """Write the CSV text of a sample file or a command's artifact to ``path``, or to
+    stdout when ``path`` is None.
+
+    The text is a ``# comment`` line (none when ``comment`` is None or empty), the
+    ``header`` line and one line per row of ``columns``, equal-length columns in
+    ``header`` order.  A column of ``str`` (the ``optimize`` row names) is written as
+    is; any other goes through one ``np.asarray(column).tolist()`` and each value is
+    written as its ``repr``: a label as its digits, a float as the shortest text that
+    reads back as the same float, so every file round-trips bit for bit.
+    """
+    cells = [column if isinstance(column[0], str) else map(repr, np.asarray(column).tolist())
+             for column in columns]
+    head = [f"# {comment}", ",".join(header)] if comment else [",".join(header)]
+    # Row by row, so that a sample file never holds all its text in memory at once.
+    lines = (line + "\n" for line in itertools.chain(head, map(",".join, zip(*cells))))
+    if path is None:
+        sys.stdout.writelines(lines)
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.writelines(lines)

@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .binormal import Rates
+from .binormal import Rates, _check_prior
 
 __all__ = [
     "CostParams",
@@ -150,8 +150,7 @@ def nas(p_pred, p_pos: float):
     calibration p_pred = p_pos and to 0 at the worst constant prediction.
     Requires 0 < p_pos < 1.  Vectorizes over ``p_pred``.
     """
-    if not (0.0 < p_pos < 1.0):
-        raise ValueError(f"positive prior must lie in (0, 1), got {p_pos!r}")
+    _check_prior(p_pos)
     arr = _check_unit_interval(p_pred, "p_pred")
     out = 1.0 - np.abs(arr - p_pos) / max(p_pos, 1.0 - p_pos)
     return out if np.ndim(p_pred) else float(out)
@@ -166,8 +165,7 @@ def nas_star(p_pred, p_pos: float):
     classifiers p_pred = 0 and p_pred = 1 whatever the prior.  Requires
     0 < p_pos < 1.  Vectorizes over ``p_pred``.
     """
-    if not (0.0 < p_pos < 1.0):
-        raise ValueError(f"positive prior must lie in (0, 1), got {p_pos!r}")
+    _check_prior(p_pos)
     arr = _check_unit_interval(p_pred, "p_pred")
     over = np.maximum(arr - p_pos, 0.0) / (1.0 - p_pos)
     under = np.maximum(p_pos - arr, 0.0) / p_pos

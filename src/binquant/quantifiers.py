@@ -14,9 +14,10 @@ that is optimal for a chosen objective.
   Q and F trade-off measures over the threshold family, parameterized by
   predicted-positive mass.
 
-Estimation side: ``classify_and_count`` maps a shifted positive prior to
-the mass a fixed classifier will flag, and ``adjusted_count`` inverts
-that affine map to recover the prior from an observed flagged mass.
+Estimation side: ``adjusted_count`` inverts the affine map
+``metrics.shifted_prevalence`` from a shifted positive prior to the mass a
+fixed classifier flags (the Classify & Count mass), recovering the prior
+from an observed flagged mass.
 
 Everything is deterministic.  The two maximizations solve stationarity
 conditions in z instead of comparing objective values: the F optimum
@@ -37,13 +38,14 @@ from .binormal import (
     Rates,
     ThresholdClassifier,
     _ULPS,
+    _cdf_in_z,
+    _log_ratio_in_z,
     _score_at_posterior,
-    _special,
+    _tpr_in_z,
     _upper_mass,
     _z_at_posterior,
     _z_at_upper_mass,
     classifier_rates,
-    std_normal_cdf,
 )
 from .metrics import (CostParams, NasVariant, QConfig, _check_beta, _check_unit_interval,
                       _f_formula, _q_formula, error_bound, nas, nas_star, shifted_prevalence)
@@ -61,7 +63,6 @@ __all__ = [
     "f_optimal_classifier",
     "q_measure_of_mass",
     "f_measure_of_mass",
-    "classify_and_count",
     "adjusted_count",
 ]
 
@@ -217,7 +218,7 @@ def _measures_of_mass(model: BinormalModel, u, measures) -> list:
     interior = (arr > 0.0) & (arr < 1.0)
     ui = arr[interior]
     if ui.size:
-        tpr = std_normal_cdf(model.d - _z_at_upper_mass(model, ui))
+        tpr = _tpr_in_z(model.d, _z_at_upper_mass(model, ui))
     results = []
     for value, at_full in measures:
         out = np.zeros(arr.shape)
@@ -296,14 +297,12 @@ def q_optimal_classifier(model: BinormalModel, config: QConfig) -> OptimizedClas
     log_offset = math.log(c) + math.log(b2 * p)
     logit_p = math.log(p / (1.0 - p))
 
-    ndtr = _special().ndtr  # called on floats, without std_normal_cdf's array handling
-
     def rises(z: float) -> float:
         """log(posterior c nas^2 / (beta^2 p tpr^2)) at z; positive where Q rises with u."""
         # c nas = 1 - u + shift, where 1 - u is the mixture CDF at z, formed without cancellation.
-        c_nas = p * float(ndtr(z - d)) + (1.0 - p) * float(ndtr(z)) + shift
-        log_posterior = -float(np.logaddexp(0.0, -(logit_p + d * (z - 0.5 * d))))
-        return log_posterior + 2.0 * (math.log(c_nas) - math.log(float(ndtr(d - z)))) - log_offset
+        c_nas = float(_cdf_in_z(d, p, 1.0 - p, z)) + shift
+        log_posterior = -float(np.logaddexp(0.0, -(logit_p + _log_ratio_in_z(d, z))))
+        return log_posterior + 2.0 * (math.log(c_nas) - math.log(_tpr_in_z(d, z))) - log_offset
 
     hi = 1.0 - _MASS_EDGE
     if hi <= p:
@@ -324,7 +323,7 @@ def q_optimal_classifier(model: BinormalModel, config: QConfig) -> OptimizedClas
             else:
                 lo = mid
         z = 0.5 * (lo + up)
-    value = float(_q_value(model, std_normal_cdf(d - z), _upper_mass(model, z), b2, config.nas_variant))
+    value = float(_q_value(model, _tpr_in_z(d, z), _upper_mass(model, z), b2, config.nas_variant))
     return _optimized(model, ThresholdClassifier(float(model.score(z))), lambda _: value)
 
 
@@ -345,20 +344,11 @@ def f_optimal_classifier(model: BinormalModel, beta: float) -> OptimizedClassifi
     lam = _f_formula(p, p, 1.0, b2)
     while True:
         z = _z_at_posterior(model, lam / (1.0 + b2))
-        value = float(_f_formula(p * std_normal_cdf(model.d - z), p, _upper_mass(model, z), b2))
+        value = float(_f_formula(p * _tpr_in_z(model.d, z), p, _upper_mass(model, z), b2))
         if not value > lam:
             break
         lam = value
     return _optimized(model, ThresholdClassifier(float(model.score(z))), lambda _: value)
-
-
-def classify_and_count(rates: Rates, w_true: float) -> float:
-    """Mass a fixed classifier flags positive when the positive prior is w_true.
-
-    Simply ``shifted_prevalence``; the raw flagged fraction used as a
-    prevalence estimate, before any adjustment.
-    """
-    return shifted_prevalence(rates, w_true)
 
 
 def adjusted_count(p1_h: float, rates: Rates) -> QuantificationEstimate:

@@ -33,10 +33,9 @@ from binquant.discrete_oracle import (
     thresholded_fbeta_sup,
 )
 from binquant.empirical import ScoreSample, sample_binormal, quantify_sample
-from binquant.metrics import CostParams, QConfig, error_bound, prediction_error
+from binquant.metrics import CostParams, QConfig, error_bound, prediction_error, shifted_prevalence
 from binquant.quantifiers import (
     adjusted_count,
-    classify_and_count,
     locally_best_classifier,
     minimax_classifier,
     q_measure_of_mass,
@@ -185,7 +184,7 @@ def test_criterion_6_adjustment_exactness():
         t = float(rng.uniform(model.mu - gap / 2.0, model.nu + gap / 2.0))
         rates = classifier_rates(model, ThresholdClassifier(t))
         w = float(rng.uniform(0, 1))
-        back = adjusted_count(classify_and_count(rates, w), rates).ac
+        back = adjusted_count(shifted_prevalence(rates, w), rates).ac
         err = abs(back - w)
         worst = max(worst, err)
         if err > 1e-10:

@@ -14,9 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from binquant import cli
+from binquant import cli, empirical
 from binquant.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from binquant.empirical import RNG_ALGORITHM, ScoreSample, write_labeled_csv, write_score_csv
+from binquant.empirical import (RNG_ALGORITHM, LabeledSample, ScoreSample, write_labeled_csv,
+                                write_score_csv)
 from binquant.binormal import BinormalModel, ThresholdClassifier
 from binquant.empirical import (estimate_rates, quantify_sample, read_labeled_csv, read_score_csv,
                                 sample_binormal)
@@ -495,17 +496,28 @@ class TestOptimizeReadmeExample:
 
 
 class TestCsvWriter:
-    """``_write_csv`` takes columns and writes each float as its ``repr``."""
+    """The one CSV writer, of the commands and the sample files, takes columns and
+    writes each float as its ``repr`` and each label as its digits."""
 
     def test_string_column_passes_through(self, tmp_path):
         path = tmp_path / "t.csv"
-        cli._write_csv(str(path), "note", ["name", "x", "y"],
-                       [("a", "b=2"), [1.0, np.float64(0.1)], np.array([-0.0, 1e-300])])
+        empirical._write_csv(str(path), "note", ["name", "x", "y"],
+                             [("a", "b=2"), [1.0, np.float64(0.1)], np.array([-0.0, 1e-300])])
         assert path.read_text() == "# note\nname,x,y\na,1.0,-0.0\nb=2,0.1,1e-300\n"
 
     def test_one_row(self, capsys):
-        cli._write_csv(None, "c", ["u", "q"], [np.array([0.5]), [1 / 3]])
+        empirical._write_csv(None, "c", ["u", "q"], [np.array([0.5]), [1 / 3]])
         assert capsys.readouterr().out == f"# c\nu,q\n0.5,{1 / 3!r}\n"
+
+    def test_labeled_sample_bytes(self, tmp_path):
+        path = tmp_path / "l.csv"
+        write_labeled_csv(LabeledSample([0.5, -0.0], [1, -1]), str(path), comment="c")
+        assert path.read_bytes() == b"# c\nscore,label\n0.5,1\n-0.0,-1\n"
+
+    def test_score_sample_without_comment(self, tmp_path):
+        path = tmp_path / "s.csv"
+        write_score_csv(ScoreSample(scores=[0.5, 1e-300]), str(path))
+        assert path.read_bytes() == b"score\n0.5\n1e-300\n"
 
     def test_grid_two_error_figure(self, tmp_path):
         path = tmp_path / "e.csv"
@@ -548,8 +560,11 @@ GOLDEN_MODELS = {
     "tiny-sigma": ["--mu", "0", "--nu", "2e-9", "--sigma", "1e-9", "--p", "0.25"],
     "offset-1e6": ["--mu", "1000000", "--nu", "1000002", "--sigma", "1", "--p", "0.25"],
     "p-above-half-nas": ["--mu", "0", "--nu", "2", "--sigma", "1", "--p", "0.7",
-                         "--nas", "nas", "--beta", "0.5", "--beta", "3"],
+                         "--nas", "nas", "--beta", "0.5"],
 }
+# Further betas of optimize and figure-qcurve.  figure-error takes one --beta, and its
+# digest is the one recorded with both, since its comment always named the first alone.
+GOLDEN_MORE_BETAS = {"p-above-half-nas": ["--beta", "3"]}
 GOLDEN_SHA256 = {
     "readme-default": {
         "optimize": "25240e9b29745b6a9e42f5e5fe4f89d1a71e13b729c43fcf15598d95ab8a3716",
@@ -588,10 +603,11 @@ class TestGoldenOutput:
 
     @pytest.mark.parametrize("name", GOLDEN_MODELS)
     def test_artifacts_match_recorded_digests(self, name, tmp_path, capsys):
-        flags = GOLDEN_MODELS[name]
+        flags = [*GOLDEN_MODELS[name], *GOLDEN_MORE_BETAS.get(name, [])]
         for command, digest in GOLDEN_SHA256[name].items():
             path = tmp_path / f"{command}.csv"
-            assert main([command, *flags, "--out", str(path)]) == EXIT_OK
+            argv = [command, *(GOLDEN_MODELS[name] if command == "figure-error" else flags)]
+            assert main([*argv, "--out", str(path)]) == EXIT_OK
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, command
         assert main(["figure-qcurve", *flags]) == EXIT_OK
         stdout = capsys.readouterr().out.encode()
@@ -640,6 +656,17 @@ class TestFlagSet:
             argv[1:1] = [*sample_files, "--threshold", "1"]
         assert main(argv) == EXIT_USAGE
         assert "beta must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("betas", [("3", "5"), ("5", "3"), ("1", "1")])
+    def test_repeated_beta_with_figure_error_is_a_usage_error(self, betas, tmp_path, capsys):
+        """figure-error once wrote the figure of its first --beta and dropped the rest."""
+        path = tmp_path / "e.csv"
+        flags = [arg for beta in betas for arg in ("--beta", beta)]
+        assert main(["figure-error", *flags, "--out", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: figure-error takes one --beta, got 2\n")
+        assert not path.exists()
+        assert main(["figure-error", "--beta", betas[0], "--out", str(path)]) == EXIT_OK
+        assert f" beta={betas[0]} " in path.read_text().splitlines()[0]
 
     @pytest.mark.parametrize("argv", [
         ["figure-qcurve", "--seed", "1"],

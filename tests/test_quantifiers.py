@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binquant.binormal import (
     BinormalModel,
@@ -26,7 +28,6 @@ from binquant.quantifiers import (
     _q_measures_of_mass,
     adjusted_count,
     bayes_classifier,
-    classify_and_count,
     f_measure_of_mass,
     f_optimal_classifier,
     locally_best_classifier,
@@ -321,20 +322,17 @@ class TestFOptimalClassifier:
 
 
 class TestClassifyAndCount:
+    """``shifted_prevalence`` as the Classify & Count mass of a fixed classifier."""
+
     def test_interpolates_rates(self):
         rates = Rates(tpr=0.8, fpr=0.2)
-        assert classify_and_count(rates, 0.0) == 0.2
-        assert classify_and_count(rates, 1.0) == 0.8
-        np.testing.assert_allclose(classify_and_count(rates, 0.5), 0.5, atol=1e-15)
-
-    def test_matches_shifted_prevalence(self):
-        rates = Rates(tpr=0.7, fpr=0.1)
-        for w in np.linspace(0.0, 1.0, 21):
-            assert classify_and_count(rates, w) == shifted_prevalence(rates, w)
+        assert shifted_prevalence(rates, 0.0) == 0.2
+        assert shifted_prevalence(rates, 1.0) == 0.8
+        np.testing.assert_allclose(shifted_prevalence(rates, 0.5), 0.5, atol=1e-15)
 
     def test_rejects_bad_prior(self):
         with pytest.raises(ValueError):
-            classify_and_count(Rates(tpr=0.8, fpr=0.2), -0.5)
+            shifted_prevalence(Rates(tpr=0.8, fpr=0.2), -0.5)
 
 
 class TestAdjustedCount:
@@ -349,7 +347,7 @@ class TestAdjustedCount:
         np.testing.assert_allclose(estimate.ac, AC_FROM_MINIMAX_RATES, rtol=1e-12)
 
     def test_inverts_the_count_map_randomized(self):
-        """adjusted_count after classify_and_count recovers w, 10^4 cases."""
+        """adjusted_count after shifted_prevalence recovers w, 10^4 cases."""
         rng = np.random.default_rng(314)
         failures = 0
         for _ in range(10_000):
@@ -359,7 +357,7 @@ class TestAdjustedCount:
                 continue
             w = rng.uniform(0.0, 1.0)
             rates = Rates(tpr=tpr, fpr=fpr)
-            back = adjusted_count(classify_and_count(rates, w), rates).ac
+            back = adjusted_count(shifted_prevalence(rates, w), rates).ac
             if abs(back - w) > 1e-12:
                 failures += 1
         assert failures == 0
@@ -446,7 +444,17 @@ class TestAffineInvariance:
     @pytest.mark.parametrize("a, b", [(0.0, 1e-9), (1e6, 1e-3), (-5e5, 1e6)])
     @pytest.mark.parametrize("rule", sorted(_RULES))
     def test_cut_points_map_affinely(self, a, b, rule):
-        model = BinormalModel(mu=a, nu=a + 2.0 * b, sigma=b, p=0.25)
+        self._check(a, b, 2.0, 0.25, rule)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(a=st.floats(-1e6, 1e6), log10_b=st.floats(-9.0, 6.0), d=st.floats(0.1, 6.0),
+           p=st.floats(0.01, 0.99), rule=st.sampled_from(sorted(_RULES)))
+    def test_cut_points_map_affinely_random(self, a, log10_b, d, p, rule):
+        self._check(a, 10.0 ** log10_b, d, p, rule)
+
+    @staticmethod
+    def _check(a, b, d, p, rule):
+        model = BinormalModel(mu=a, nu=a + d * b, sigma=b, p=p)
         reference = BinormalModel(mu=0.0, nu=model.d, sigma=1.0, p=model.p)
         got, want = _RULES[rule](model), _RULES[rule](reference)
         if rule == "bayes":
