@@ -311,6 +311,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         raise _UsageError(f"--max-atoms must lie in [2, {MAX_ATOMS}], got {args.max_atoms}")
     if args.trials < 1:
         raise _UsageError("--trials must be at least 1")
+    if args.seed < 0:
+        raise _UsageError("--seed must be at least 0")
     betas = _betas(args, (0.5, 1.0, 2.0))
 
     rng = np.random.default_rng(args.seed)

@@ -21,15 +21,12 @@ ASCII decimal such as ``-1.5`` or ``2e-3`` (``nan`` and ``inf`` parse but
 are rejected), a label an ASCII integer, so ``+1``, `` -1`` and ``01``
 are labels; ``1_0`` and non-ASCII digits are invalid.  The first faulty
 line raises ``CsvFormatError`` naming the file, the line and the token.
-A byte that is not UTF-8 counts as a fault of its line; read from a pipe,
-which cannot be read again to find that line, it names the file alone.
+A byte that is not UTF-8 counts as a fault of its line.
 """
 
 from __future__ import annotations
 
-import codecs
 import functools
-import io
 import itertools
 import math
 import re
@@ -238,9 +235,25 @@ def _sound_rows(lines: list[str], dtype: np.dtype) -> np.ndarray | None:
     return rows if all(_FIELDS[name][2](rows[name]).all() for name in dtype.names) else None
 
 
-def _line_fault(line: str, names: list[str]) -> str:
-    """What is wrong with one faulty data line: its field count, or the first field
-    whose syntax or value fails when numpy reads that field alone."""
+def _decode_fault(line: str) -> str | None:
+    """The decoding error of a line read with ``errors="surrogateescape"``, its position
+    counted from the start of the line, or None if every byte of the line is UTF-8."""
+    if line.isascii():
+        return None
+    try:
+        line.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return str(exc)
+    return None
+
+
+def _line_fault(raw: str, names: list[str]) -> str:
+    """What is wrong with one faulty data line as read: a byte that is not UTF-8, its
+    field count, or the first field whose syntax or value fails when numpy reads that
+    field alone."""
+    if fault := _decode_fault(raw):
+        return fault
+    line = raw.strip()
     tokens = line.split(",")
     if len(tokens) != len(names):
         return f"expected {len(names)} field{'s' if len(names) > 1 else ''}, got {len(tokens)}"
@@ -265,78 +278,49 @@ def _data_rows(path: str, header: str) -> np.ndarray:
     the header is still to come: it strips the lines, skips blank lines and ``#``
     comments, checks the header and hands the rest to numpy.  Comments, whitespace-only
     lines and faulty lines all fail numpy's conversion, so they always reach the filter.
+    A byte that is not UTF-8 is read as a lone surrogate (U+DC80 to U+DCFF), which numpy
+    never converts and the filter keeps, comment or not, so it makes its line faulty.
     A faulty chunk is bisected, so the first faulty line in file order raises
     ``CsvFormatError``."""
     names = header.split(",")
     dtype = np.dtype([(name, _FIELDS[name][0]) for name in names])
     lineno, header_seen, parts = 1, False, []
-
-    def filtered(chunk: list[str]) -> None:
-        nonlocal lineno, header_seen
-        lines = list(map(str.strip, chunk))
-        numbers = [n for n, line in enumerate(lines, lineno) if line and line[0] != "#"]
-        if len(numbers) < len(lines):
-            lines = [lines[n - lineno] for n in numbers]
-        lineno += len(chunk)
-        if lines and not header_seen:
-            if lines[0] != header:
-                raise CsvFormatError(
-                    f"{path}:{numbers[0]}: expected header {header!r}, got {lines[0]!r}")
-            header_seen = True
-            del numbers[0], lines[0]
-        rows = _sound_rows(lines, dtype) if lines else np.empty(0, dtype)
-        lo, hi = 0, len(lines)  # bisect: lines[:lo] are sound, lines[:hi] are not
-        while rows is None and hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if _sound_rows(lines[lo:mid], dtype) is None else (mid, hi)
-        if rows is None:
-            raise CsvFormatError(f"{path}:{numbers[lo]}: {_line_fault(lines[lo], names)}")
-        parts.append(rows)
-
-    with open(path, encoding="utf-8-sig") as handle:
-        try:
-            # readlines splits only on "\n" after newline translation; str.splitlines
-            # would also split on "\x0c", "\x1c" or "\x85" inside a line.  A chunk of
-            # empty lines alone goes to the filter, as numpy warns on input with no rows.
-            while chunk := handle.readlines(_CHUNK_CHARS):
-                if (header_seen and any(map("\n".__ne__, chunk))
-                        and (rows := _sound_rows(chunk, dtype)) is not None):
-                    lineno += len(chunk)
-                    parts.append(rows)
-                    continue
-                filtered(chunk)
-        except UnicodeDecodeError as exc:
-            # The lines of the chunk went with the error.  Where the file can be read
-            # again, its lines up to the bad byte are checked, so that an earlier
-            # faulty line still wins, and the bad byte's line is named.
-            if handle.seekable():
-                handle.buffer.seek(0)
-                if found := _lines_before_bad_byte(handle.buffer.read()):
-                    lines, exc = found
-                    filtered(lines[lineno - 1:])
-                    raise CsvFormatError(f"{path}:{len(lines) + 1}: {exc}") from None
-            raise CsvFormatError(f"{path}: {exc}") from None
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
+        # readlines splits only on "\n" after newline translation; str.splitlines
+        # would also split on "\x0c", "\x1c" or "\x85" inside a line.  A chunk of
+        # empty lines alone goes to the filter, as numpy warns on input with no rows.
+        while chunk := handle.readlines(_CHUNK_CHARS):
+            first, lineno = lineno, lineno + len(chunk)
+            if (header_seen and any(map("\n".__ne__, chunk))
+                    and (rows := _sound_rows(chunk, dtype)) is not None):
+                parts.append(rows)
+                continue
+            lines = list(map(str.strip, chunk))
+            numbers = [n for n, line in enumerate(lines, first)
+                       if line and (line[0] != "#" or _decode_fault(line))]
+            if len(numbers) < len(lines):
+                lines = [lines[n - first] for n in numbers]
+            if lines and not header_seen:
+                if lines[0] != header:
+                    fault = (_decode_fault(chunk[numbers[0] - first])
+                             or f"expected header {header!r}, got {lines[0]!r}")
+                    raise CsvFormatError(f"{path}:{numbers[0]}: {fault}")
+                header_seen = True
+                del numbers[0], lines[0]
+            rows = _sound_rows(lines, dtype) if lines else np.empty(0, dtype)
+            lo, hi = 0, len(lines)  # bisect: lines[:lo] are sound, lines[:hi] are not
+            while rows is None and hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if _sound_rows(lines[lo:mid], dtype) is None else (mid, hi)
+            if rows is None:
+                fault = _line_fault(chunk[numbers[lo] - first], names)
+                raise CsvFormatError(f"{path}:{numbers[lo]}: {fault}")
+            parts.append(rows)
     if not header_seen:
         raise CsvFormatError(f"{path}: missing {header!r} header")
     if not sum(map(len, parts)):
         raise CsvFormatError(f"{path}: no data rows")
     return np.concatenate(parts)
-
-
-def _lines_before_bad_byte(data: bytes) -> tuple[list[str], UnicodeDecodeError] | None:
-    """The lines of a file's bytes before the line of its first byte that is not
-    UTF-8, split as the reader splits them, and the decoding error with its
-    position counted from the start of that line; None if the bytes decode,
-    as they can when the file changed after the reader met the error."""
-    data = data.removeprefix(codecs.BOM_UTF8)
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        start = max(data.rfind(b"\n", 0, exc.start), data.rfind(b"\r", 0, exc.start)) + 1
-        lines = io.StringIO(data[:start].decode("utf-8"), newline=None).readlines()
-        return lines, UnicodeDecodeError(exc.encoding, data[start:], exc.start - start,
-                                         exc.end - start, exc.reason)
-    return None
 
 
 def read_labeled_csv(path: str) -> LabeledSample:

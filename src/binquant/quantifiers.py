@@ -202,43 +202,29 @@ def locally_best_classifier(model: BinormalModel) -> OptimizedClassifier:
     return _optimized(model, classifier, error_bound)
 
 
-def _q_value(model: BinormalModel, tpr, u, b2: float, nas_variant: NasVariant):
-    """Q measure from recall and predicted-positive mass; 0 where both terms vanish."""
-    nas_vals = nas_star(u, model.p) if nas_variant is NasVariant.NAS_STAR else nas(u, model.p)
-    return _q_formula(tpr, nas_vals, b2)
+def _nas_of(u, p: float, nas_variant: NasVariant):
+    """The chosen calibration score of predicted-positive mass u against the prior p."""
+    return nas_star(u, p) if nas_variant is NasVariant.NAS_STAR else nas(u, p)
 
 
-def _measures_of_mass(model: BinormalModel, u, measures) -> list:
-    """Evaluate each ``(value, at_full)`` of ``measures`` at the mass-u cut-points, solved
-    once: ``value(tpr, u)`` inside (0, 1), 0 at u = 0 and ``at_full`` at u = 1.  Gives one
-    array per measure, or one float each when ``u`` is a scalar."""
-    scalar = np.ndim(u) == 0
+def _tpr_of_mass(model: BinormalModel, u) -> tuple[np.ndarray, np.ndarray]:
+    """The checked masses u, at least one-dimensional, and the recall of the mass-u
+    cut-points: solved in z inside (0, 1), and exactly 0 at u = 0 and 1 at u = 1."""
     arr = np.atleast_1d(_check_unit_interval(u, "predicted-positive mass"))
-
+    tpr = np.where(arr >= 1.0, 1.0, 0.0)
     interior = (arr > 0.0) & (arr < 1.0)
-    ui = arr[interior]
-    if ui.size:
-        tpr = _tpr_in_z(model.d, _z_at_upper_mass(model, ui))
-    results = []
-    for value, at_full in measures:
-        out = np.zeros(arr.shape)
-        if ui.size:
-            out[interior] = value(tpr, ui)
-        out[arr >= 1.0] = at_full
-        results.append(float(out[0]) if scalar else out)
-    return results
-
-
-def _q_measure(model: BinormalModel, beta: float, nas_variant: NasVariant):
-    """The Q measure as a ``(value, at_full)`` pair of ``_measures_of_mass``."""
-    b2 = _check_beta(beta)
-    return (lambda tpr, ui: _q_value(model, tpr, ui, b2, nas_variant),
-            float(_q_value(model, 1.0, 1.0, b2, nas_variant)))
+    if interior.any():
+        tpr[interior] = _tpr_in_z(model.d, _z_at_upper_mass(model, arr[interior]))
+    return arr, tpr
 
 
 def _q_measures_of_mass(model: BinormalModel, u, betas, nas_variant: NasVariant) -> list:
     """``q_measure_of_mass`` for each of ``betas``, from one solve of the mass-u cut-points."""
-    return _measures_of_mass(model, u, [_q_measure(model, beta, nas_variant) for beta in betas])
+    b2s = [_check_beta(beta) for beta in betas]
+    arr, tpr = _tpr_of_mass(model, u)
+    nas_vals = _nas_of(arr, model.p, nas_variant)
+    return [out if np.ndim(u) else float(out[0])
+            for out in (_q_formula(tpr, nas_vals, b2) for b2 in b2s)]
 
 
 def q_measure_of_mass(model: BinormalModel, u, beta: float, nas_variant: NasVariant = NasVariant.NAS_STAR):
@@ -264,10 +250,9 @@ def f_measure_of_mass(model: BinormalModel, u, beta: float):
     value.  Vectorizes over ``u``.
     """
     b2 = _check_beta(beta)
-    return _measures_of_mass(model, u, [(
-        lambda tpr, ui: _f_formula(model.p * tpr, model.p, ui, b2),
-        _f_formula(model.p, model.p, 1.0, b2),
-    )])[0]
+    arr, tpr = _tpr_of_mass(model, u)
+    out = _f_formula(model.p * tpr, model.p, arr, b2)
+    return out if np.ndim(u) else float(out[0])
 
 
 def q_optimal_classifier(model: BinormalModel, config: QConfig) -> OptimizedClassifier:
@@ -323,7 +308,8 @@ def q_optimal_classifier(model: BinormalModel, config: QConfig) -> OptimizedClas
             else:
                 lo = mid
         z = 0.5 * (lo + up)
-    value = float(_q_value(model, _tpr_in_z(d, z), _upper_mass(model, z), b2, config.nas_variant))
+    nas_value = _nas_of(_upper_mass(model, z), p, config.nas_variant)
+    value = float(_q_formula(_tpr_in_z(d, z), nas_value, b2))
     return _optimized(model, ThresholdClassifier(float(model.score(z))), lambda _: value)
 
 

@@ -448,6 +448,10 @@ class TestOracle:
     def test_trials_must_be_positive(self):
         assert main(["oracle", "--trials", "0"]) == EXIT_USAGE
 
+    def test_seed_must_not_be_negative(self, capsys):
+        assert main(["oracle", "--seed", "-1"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: --seed must be at least 0\n"
+
 
 class TestUsageErrors:
     def test_unknown_flag(self):

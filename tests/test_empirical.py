@@ -476,6 +476,17 @@ class TestCsvErrorText:
              "1: expected header 'score,label', got 'value,label'"),
             ("# note\n\nscore,label\n", read_score_csv,
              "3: expected header 'score', got 'score,label'"),
+            # a byte that is not UTF-8 is a fault of its line, comment or header line
+            # included, and its position counts from the line's first byte
+            (b"score\n  \xff\n", read_score_csv,
+             "2: 'utf-8' codec can't decode byte 0xff in position 2: invalid start byte"),
+            pytest.param(
+                b"score\n" + b"0.5\n" * 300_000 + b"# \xe2\x82\n0.6\n", read_score_csv,
+                "300002: 'utf-8' codec can't decode bytes in position 2-3: "
+                "invalid continuation byte",
+                id="cut-sequence-in-a-comment-past-the-first-chunk"),
+            (b"score\xff\n0.5\n", read_score_csv,
+             "1: 'utf-8' codec can't decode byte 0xff in position 5: invalid start byte"),
         ],
     )
     def test_line_messages(self, tmp_path, text, reader, message):
@@ -519,19 +530,23 @@ class TestCsvErrorText:
         path, error = _csv_error(tmp_path, head + b"0.8 \xff9\n0.9\n", read_score_csv)
         assert error == f"{path}:{message}"
 
-    def test_invalid_utf8_from_a_pipe_names_the_file_alone(self):
-        """A pipe cannot be read again for the lines that went with the error."""
+    @pytest.mark.parametrize("data, message", [
+        (b"score\n0.5\nabc\n\xff\n", "3: invalid score 'abc'"),
+        (b"score\n0.5\n\xff\n",
+         "3: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ])
+    def test_invalid_utf8_from_a_pipe_names_its_line(self, data, message):
+        """A pipe, which cannot be read again, gives the text a file gives."""
         read_end, write_end = os.pipe()
         try:
-            os.write(write_end, b"score\n0.5\nabc\n\xff\n")  # fits in the pipe's buffer
+            os.write(write_end, data)  # fits in the pipe's buffer
             os.close(write_end)
             path = f"/dev/fd/{read_end}"
             with pytest.raises(CsvFormatError) as exc:
                 read_score_csv(path)
         finally:
             os.close(read_end)
-        assert str(exc.value) == (f"{path}: 'utf-8' codec can't decode byte 0xff in position 14: "
-                                  "invalid start byte")
+        assert str(exc.value) == f"{path}:{message}"
 
     @pytest.mark.parametrize(
         "rows, message",

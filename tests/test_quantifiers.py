@@ -228,11 +228,12 @@ class TestSharedGridSolve:
         for beta, column in zip(self.BETAS, columns):
             alone = q_measure_of_mass(model, u, beta, nas_variant)
             assert column.view(np.uint64).tolist() == alone.view(np.uint64).tolist()
-        for point in (0.0, model.p, 1.0):
+        for point in (0.0, -0.0, model.p, 1.0):
             values = _q_measures_of_mass(model, point, self.BETAS, nas_variant)
             assert values == [q_measure_of_mass(model, point, beta, nas_variant)
                               for beta in self.BETAS]
             assert all(type(value) is float for value in values)
+            assert all(math.copysign(1.0, value) == 1.0 for value in values)  # no -0.0
 
     def test_invalid_beta_is_rejected(self):
         with pytest.raises(ValueError, match="beta"):
@@ -301,6 +302,7 @@ class TestFOptimalClassifier:
             f_measure_of_mass(DEFAULT_MODEL, 1.0, 1.0), 2.0 * 0.25 / 1.25, rtol=1e-15
         )
         assert f_measure_of_mass(DEFAULT_MODEL, 0.0, 1.0) == 0.0
+        assert math.copysign(1.0, f_measure_of_mass(DEFAULT_MODEL, -0.0, 1.0)) == 1.0
 
     def test_dominates_other_constructions(self):
         best = f_optimal_classifier(DEFAULT_MODEL, 1.0)
