@@ -531,9 +531,11 @@ class TestCsvErrorText:
         assert error == f"{path}:{message}"
 
     @pytest.mark.parametrize("data, message", [
-        (b"score\n0.5\nabc\n\xff\n", "3: invalid score 'abc'"),
-        (b"score\n0.5\n\xff\n",
-         "3: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        pytest.param(b"score\n0.5\nabc\n\xff\n", "3: invalid score 'abc'",
+                     id="earlier-fault-wins"),
+        pytest.param(b"score\n0.5\n\xff\n",
+                     "3: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+                     id="bad-byte-first"),
     ])
     def test_invalid_utf8_from_a_pipe_names_its_line(self, data, message):
         """A pipe, which cannot be read again, gives the text a file gives."""
