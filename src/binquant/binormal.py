@@ -56,13 +56,28 @@ _ULPS = 4.0 * np.finfo(float).eps
 _MAX_NEWTON_STEPS = 100
 
 
-@functools.cache
-def _special():
-    """``scipy.special``, imported on first use: runs that never evaluate the normal
-    model (``oracle``, ``quantify --threshold``) do not pay for the import."""
-    from scipy import special
+# Open-interval guard for predicted-positive masses: thresholds exist only
+# for masses strictly inside (0, 1).
+_MASS_EDGE = 1e-9
 
-    return special
+
+# ``scipy.special.ndtr`` and ``ndtri``, imported on first use: runs that never evaluate
+# the normal model (``oracle``, ``quantify --threshold``) do not pay for the import.
+# Each stub rebinds its module name to the ufunc on its first call, so later calls
+# reach the ufunc with one global lookup.
+
+def _ndtr(x):
+    global _ndtr
+    from scipy.special import ndtr as _ndtr
+
+    return _ndtr(x)
+
+
+def _ndtri(u):
+    global _ndtri
+    from scipy.special import ndtri as _ndtri
+
+    return _ndtri(u)
 
 
 @dataclass(frozen=True)
@@ -111,6 +126,23 @@ class BinormalModel:
     def score(self, z):
         """Inverse of ``z_score``: mu + sigma * z."""
         return self.mu + self.sigma * z
+
+    # The two anchor cut-points of the optimizers, each solved at most once per model
+    # and kept on it: a frozen dataclass still has the __dict__ that cached_property
+    # writes to.
+
+    @functools.cached_property
+    def _z_at_prior_mass(self) -> float:
+        """z-score of the cut-point flagging mass p: the locally best cut-point and
+        the kink of the Q search."""
+        return float(_z_at_upper_mass(self, self.p))
+
+    @functools.cached_property
+    def _z_at_far_mass(self) -> float:
+        """z-score of the cut-point flagging mass 1 - _MASS_EDGE, or (p + 1) / 2 where
+        p is not below that: the far end of the Q search."""
+        far = 1.0 - _MASS_EDGE
+        return float(_z_at_upper_mass(self, far if far > self.p else 0.5 * (self.p + 1.0)))
 
 
 @dataclass(frozen=True)
@@ -165,7 +197,7 @@ def _check_levels(u) -> np.ndarray:
 
 def std_normal_cdf(x):
     """Standard normal distribution function Phi, ``scipy.special.ndtr``; a float or an ndarray."""
-    out = _special().ndtr(np.asarray(x, dtype=float))
+    out = _ndtr(np.asarray(x, dtype=float))
     return out if np.ndim(x) else float(out)
 
 
@@ -175,7 +207,7 @@ def std_normal_quantile(u):
     ``scipy.special.ndtri``, accurate to a few ulp; levels outside (0, 1)
     raise ``ValueError``.  Accepts a float or an ndarray.
     """
-    out = _special().ndtri(_check_levels(u))
+    out = _ndtri(_check_levels(u))
     return out if np.ndim(u) else float(out)
 
 
@@ -185,18 +217,17 @@ def std_normal_quantile(u):
 
 def _cdf_in_z(d: float, pos: float, neg: float, z):
     """The mixture CDF pos Phi(z - d) + neg Phi(z) in z."""
-    ndtr = _special().ndtr
-    return pos * ndtr(z - d) + neg * ndtr(z)
+    return pos * _ndtr(z - d) + neg * _ndtr(z)
 
 
 def _tpr_in_z(d: float, z):
     """True positive rate Phi(d - z) of the cut-point at the z-score z."""
-    return _special().ndtr(d - z)
+    return _ndtr(d - z)
 
 
 def _fpr_in_z(z):
     """False positive rate Phi(-z) of the cut-point at the z-score z."""
-    return _special().ndtr(-z)
+    return _ndtr(-z)
 
 
 def _log_ratio_in_z(d: float, z):
@@ -221,7 +252,7 @@ def _z_at_mass(d: float, pos: float, neg: float, u: np.ndarray) -> np.ndarray:
     upper = u > 0.5
     pos, neg = np.where(upper, neg, pos), np.where(upper, pos, neg)
     u = np.where(upper, 1.0 - u, u)
-    z = lo = _special().ndtri(u)
+    z = lo = _ndtri(u)
     hi = lo + d
     log_u = np.log(u)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

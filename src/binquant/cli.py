@@ -65,6 +65,11 @@ _NAS_DEFAULT = NasVariant.NAS_STAR.value
 
 _BETAS_HELP = "measure weight, repeatable (default 1 and 2)"
 
+# quantify reads its target in a forked child only from this size on.  The fork costs
+# about 6 ms whatever the size, and on a 2-vCPU host forking and reading in process
+# break even for files of 190-310 KiB next to a train file of the same length.
+_FORK_MIN_BYTES = 1 << 18
+
 
 class _UsageError(Exception):
     """Bad flag values or flag combinations."""
@@ -198,11 +203,12 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 def _read_inputs(train_path: str, target_path: str) -> tuple[LabeledSample, ScoreSample]:
     """Read the train and target files of ``quantify``: the target in a forked child
-    while this process reads the train file, where the target is a regular file, the
-    platform can fork and this process runs one thread (forking a threaded process can
-    deadlock).  Otherwise, or when the fork fails, both are read here, one after the
-    other: a pipe or FIFO target may be the train file's own stream, and two readers
-    of one stream would split its lines between them.
+    while this process reads the train file, where the target is a regular file of at
+    least ``_FORK_MIN_BYTES``, the platform can fork and this process runs one thread
+    (forking a threaded process can deadlock).  Otherwise, or when the fork fails, both
+    are read here, one after the other: a smaller file reads faster than a fork costs,
+    and a pipe or FIFO target may be the train file's own stream, where two readers of
+    one stream would split its lines between them.
 
     Either way the train file's error wins, as in a sequential read.  The child sends
     back ``(True, sample)`` or ``(False, error)`` through a pipe and never writes to
@@ -210,10 +216,11 @@ def _read_inputs(train_path: str, target_path: str) -> tuple[LabeledSample, Scor
     itself, so the same result or error comes out.
     """
     try:
-        regular = stat.S_ISREG(os.stat(target_path).st_mode)
+        info = os.stat(target_path)
+        large = stat.S_ISREG(info.st_mode) and info.st_size >= _FORK_MIN_BYTES
     except OSError:  # reading the target raises it again, in file order
-        regular = False
-    if not (regular and hasattr(os, "fork") and threading.active_count() == 1):
+        large = False
+    if not (large and hasattr(os, "fork") and threading.active_count() == 1):
         return read_labeled_csv(train_path), read_score_csv(target_path)
     import pickle
     import signal

@@ -218,6 +218,7 @@ def fit_binormal(sample: LabeledSample) -> BinormalModel:
 _LABELED_HEADER = "score,label"
 _SCORE_HEADER = "score"
 _CHUNK_CHARS = 1 << 20  # the reader filters and converts about 1 MiB of lines at a time
+_WRITE_ROWS = 1 << 14  # the writer hands its target this many lines per write call
 # Per field: its numpy type in a chunk and on one faulty line (labels as any int64 there,
 # so that 300 fails the value test and not the syntax), the value test and its fault.
 _FIELDS = {"score": ("f8", "f8", np.isfinite, "non-finite score"),
@@ -354,14 +355,19 @@ def _write_csv(path: str | None, comment: str | None, header: list[str], columns
     is; any other goes through one ``np.asarray(column).tolist()`` and each value is
     written as its ``repr``: a label as its digits, a float as the shortest text that
     reads back as the same float, so every file round-trips bit for bit.
+
+    The lines are joined and written in blocks of ``_WRITE_ROWS``, one write call
+    each: far fewer calls than one per line, while a sample file never holds all its
+    text in memory at once.
     """
     cells = [column if isinstance(column[0], str) else map(repr, np.asarray(column).tolist())
              for column in columns]
     head = [f"# {comment}", ",".join(header)] if comment else [",".join(header)]
-    # Row by row, so that a sample file never holds all its text in memory at once.
-    lines = (line + "\n" for line in itertools.chain(head, map(",".join, zip(*cells))))
+    lines = itertools.chain(head, map(",".join, zip(*cells)))
+    blocks = iter(lambda: list(itertools.islice(lines, _WRITE_ROWS)), [])
+    text = ("\n".join(block) + "\n" for block in blocks)
     if path is None:
-        sys.stdout.writelines(lines)
+        sys.stdout.writelines(text)
     else:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.writelines(lines)
+            handle.writelines(text)

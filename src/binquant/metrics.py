@@ -46,10 +46,15 @@ _PROB_TOL = 1e-9
 
 
 def _check_beta(beta: float) -> float:
-    """beta^2 for a valid measure weight: beta must be finite and positive."""
+    """beta^2 for a valid measure weight: beta must be finite and positive, and its
+    square must neither overflow to inf nor underflow to 0, which would turn the
+    measures into nan or drop the weight."""
     if not (math.isfinite(beta) and beta > 0.0):
         raise ValueError(f"beta must be finite and positive, got {beta!r}")
-    return beta * beta
+    b2 = beta * beta
+    if not 0.0 < b2 < math.inf:
+        raise ValueError(f"beta^2 must be a positive finite float, got {beta!r} ** 2 = {b2!r}")
+    return b2
 
 
 @dataclass(frozen=True)

@@ -66,10 +66,6 @@ __all__ = [
     "adjusted_count",
 ]
 
-# Open-interval guard for predicted-positive masses: thresholds exist only
-# for masses strictly inside (0, 1).
-_MASS_EDGE = 1e-9
-
 # Below this tpr - fpr gap the count-adjustment map is numerically
 # non-invertible.
 _RATE_GAP_MIN = 1e-12
@@ -198,7 +194,7 @@ def locally_best_classifier(model: BinormalModel) -> OptimizedClassifier:
     its count-based prevalence prediction is exact when the deployment
     prior equals the training prior.  ``objective_value`` is max(fpr, fnr).
     """
-    classifier = threshold_for_positive_mass(model, model.p)
+    classifier = ThresholdClassifier(float(model.score(model._z_at_prior_mass)))
     return _optimized(model, classifier, error_bound)
 
 
@@ -271,7 +267,8 @@ def q_optimal_classifier(model: BinormalModel, config: QConfig) -> OptimizedClas
     satisfies posterior * c * nas^2 = beta^2 p tpr^2.  The sign of the log
     of that ratio is checked at the kink u = p, where Q is returned if it
     already falls, and at the far end, and otherwise bisected in z to a
-    few ulp.  ``objective_value`` is the attained Q value.
+    few ulp.  The cut-points of both ends are solved once per model and
+    kept on it.  ``objective_value`` is the attained Q value.
     """
     b2 = _check_beta(config.beta)
     p, d = model.p, model.d
@@ -289,14 +286,10 @@ def q_optimal_classifier(model: BinormalModel, config: QConfig) -> OptimizedClas
         log_posterior = -float(np.logaddexp(0.0, -(logit_p + _log_ratio_in_z(d, z))))
         return log_posterior + 2.0 * (math.log(c_nas) - math.log(_tpr_in_z(d, z))) - log_offset
 
-    hi = 1.0 - _MASS_EDGE
-    if hi <= p:
-        hi = 0.5 * (p + 1.0)
-    z_kink = float(_z_at_upper_mass(model, p))
-    z_end = float(_z_at_upper_mass(model, hi))
+    z_kink = model._z_at_prior_mass
     if rises(z_kink) <= 0.0:
         z = z_kink
-    elif rises(z_end) >= 0.0:
+    elif rises(z_end := model._z_at_far_mass) >= 0.0:
         z = z_end
     else:
         # rises() is negative at z_end and positive at z_kink; u falls as z grows.

@@ -5,10 +5,12 @@ directories.  Determinism assertions compare bytes, not parsed values.
 """
 
 import hashlib
+import io
 import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -309,9 +311,9 @@ def _with_fault(tmp_path, source: str, line: int, text: str) -> str:
 
 
 class TestConcurrentRead:
-    """``quantify`` reads a regular target file in a forked child while it reads the
-    train file.  Results and errors match a sequential read, the child writes nothing
-    and no child is left behind."""
+    """``quantify`` reads a regular target file of at least ``_FORK_MIN_BYTES`` in a
+    forked child while it reads the train file.  Results and errors match a sequential
+    read, the child writes nothing and no child is left behind."""
 
     @pytest.fixture(autouse=True)
     def no_child_left(self):
@@ -339,6 +341,29 @@ class TestConcurrentRead:
         monkeypatch.delattr(os, "fork")
         assert main(["quantify", *large_files, *flags]) == EXIT_OK
         assert capfd.readouterr() == forked
+
+    def test_large_target_is_forked(self, large_files, monkeypatch, capfd):
+        forks = []
+        real_fork = os.fork
+
+        def counted_fork():
+            pid = real_fork()
+            forks.append(pid)
+            return pid
+        monkeypatch.setattr(os, "fork", counted_fork)
+        assert main(["quantify", *large_files, "--threshold", "1.0"]) == EXIT_OK
+        assert len(forks) == 1 and forks[0] > 0
+        assert capfd.readouterr() == (self._expected(*large_files), "")
+
+    def test_small_target_is_read_in_process(self, sample_files, monkeypatch, capfd):
+        """A fork costs more than reading a file below the size gate."""
+        assert os.path.getsize(sample_files[1]) < cli._FORK_MIN_BYTES
+
+        def fork():
+            raise AssertionError(f"forked to read a {os.path.getsize(sample_files[1])}-byte file")
+        monkeypatch.setattr(os, "fork", fork)
+        assert main(["quantify", *sample_files, "--threshold", "1.0"]) == EXIT_OK
+        assert capfd.readouterr() == (self._expected(*sample_files), "")
 
     def test_failed_fork_reads_in_process(self, large_files, monkeypatch, capfd):
         def fork():
@@ -513,6 +538,49 @@ class TestCsvWriter:
         empirical._write_csv(None, "c", ["u", "q"], [np.array([0.5]), [1 / 3]])
         assert capsys.readouterr().out == f"# c\nu,q\n0.5,{1 / 3!r}\n"
 
+    @staticmethod
+    def _row_by_row(comment, header, columns) -> str:
+        """The writer's text built one line at a time: the reference of the block writes."""
+        lines = [f"# {comment}"] if comment else []
+        lines.append(",".join(header))
+        rows = zip(*(np.asarray(column).tolist() for column in columns))
+        lines += [",".join(map(repr, row)) for row in rows]
+        return "".join(line + "\n" for line in lines)
+
+    @staticmethod
+    def _sample_columns(rows: int) -> list:
+        rng = np.random.default_rng(rows)
+        scores = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+        scores[::7] = -0.0
+        return [scores, np.where(rng.random(rows) < 0.5, -1, 1)]
+
+    B = empirical._WRITE_ROWS
+
+    @pytest.mark.parametrize("rows", [1, B - 1, B, B + 1, 2 * B + 1])
+    @pytest.mark.parametrize("comment", ["c", None])
+    def test_blocks_match_a_row_by_row_write(self, rows, comment, tmp_path, capsys):
+        columns = self._sample_columns(rows)
+        expected = self._row_by_row(comment, ["score", "label"], columns)
+        path = tmp_path / "b.csv"
+        empirical._write_csv(str(path), comment, ["score", "label"], columns)
+        assert path.read_bytes() == expected.encode()
+        empirical._write_csv(None, comment, ["score", "label"], columns)
+        assert capsys.readouterr().out == expected
+
+    def test_one_write_call_per_block(self, monkeypatch):
+        sizes = []
+
+        class CountingStdout(io.StringIO):
+            def write(self, text):
+                sizes.append(len(text))
+                return super().write(text)
+        out = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        columns = self._sample_columns(2 * self.B + 1)
+        empirical._write_csv(None, "c", ["score", "label"], columns)
+        assert len(sizes) == 3  # 2 B + 3 lines
+        assert out.getvalue() == self._row_by_row("c", ["score", "label"], columns)
+
     def test_labeled_sample_bytes(self, tmp_path):
         path = tmp_path / "l.csv"
         write_labeled_csv(LabeledSample([0.5, -0.0], [1, -1]), str(path), comment="c")
@@ -661,6 +729,33 @@ class TestFlagSet:
         assert main(argv) == EXIT_USAGE
         assert "beta must be finite and positive" in capsys.readouterr().err
 
+    @staticmethod
+    def _beta_argv(command: str, beta: str, sample_files) -> list[str]:
+        flags = {"figure-qcurve": ["--grid", "11"], "figure-error": ["--grid", "11"],
+                 "optimize": [], "oracle": ["--trials", "2", "--max-atoms", "6"],
+                 "quantify": [*sample_files, "--rule", "q-optimal", "--method", "cc"]}[command]
+        return [command, *flags, "--beta", beta]
+
+    @pytest.mark.parametrize("command", ["figure-qcurve", "figure-error", "optimize",
+                                         "quantify", "oracle"])
+    @pytest.mark.parametrize("beta, square", [("1e200", "inf"), ("1e-200", "0.0")])
+    def test_beta_with_a_square_out_of_range_is_a_usage_error(self, command, beta, square,
+                                                              sample_files, capsys):
+        """Such a beta once wrote nan into the Q column or failed with a data error."""
+        assert main(self._beta_argv(command, beta, sample_files)) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: --beta: beta^2 must be a positive finite "
+                                           f"float, got {float(beta)!r} ** 2 = {square}\n")
+
+    @pytest.mark.parametrize("command", ["figure-qcurve", "figure-error", "optimize",
+                                         "quantify", "oracle"])
+    @pytest.mark.parametrize("beta", ["1.3e154", "1.5e-154"])
+    def test_beta_with_a_square_near_the_float_range_runs(self, command, beta, sample_files,
+                                                          capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(self._beta_argv(command, beta, sample_files)) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("betas", [("3", "5"), ("5", "3"), ("1", "1")])
     def test_repeated_beta_with_figure_error_is_a_usage_error(self, betas, tmp_path, capsys):
         """figure-error once wrote the figure of its first --beta and dropped the rest."""
@@ -680,6 +775,27 @@ class TestFlagSet:
     ])
     def test_unread_flags_are_gone(self, argv):
         assert main(argv) == EXIT_USAGE
+
+
+class TestSolveCounts:
+    """Each command builds one model and solves its anchors once: the mass-p cut-point,
+    both the locally best cut and the Q kink, and the far end of the Q search.
+    ``figure-qcurve`` solves its whole grid in one call."""
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize"],
+        ["optimize", "--beta", "0.5", "--beta", "1", "--beta", "2", "--beta", "3"],
+        ["figure-error"],
+    ])
+    def test_two_scalar_solves(self, argv, mass_solves, tmp_path):
+        assert main([*argv, "--out", str(tmp_path / "out.csv")]) == EXIT_OK
+        assert mass_solves == [1, 1]
+
+    def test_qcurve_solves_its_grid_once(self, mass_solves, tmp_path):
+        path = tmp_path / "q.csv"
+        assert main(["figure-qcurve", "--grid", "101", "--out", str(path)]) == EXIT_OK
+        rows = len(path.read_text().splitlines()) - 2
+        assert mass_solves == [rows - 2]  # every u but 0 and 1
 
 
 class TestParserReuse:

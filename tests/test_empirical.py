@@ -514,14 +514,16 @@ class TestCsvErrorText:
     @pytest.mark.parametrize("head, message", [
         # a faulty line before the bad byte wins, also past the first 1 MiB chunk
         (b"score\n0.5\nabc\n0.7\n", "3: invalid score 'abc'"),
-        (b"score\n" + b"0.5\n" * 300_000 + b"abc\n" + b"0.7\n" * 10, "300002: invalid score 'abc'"),
+        pytest.param(b"score\n" + b"0.5\n" * 300_000 + b"abc\n" + b"0.7\n" * 10,
+                     "300002: invalid score 'abc'", id="fault-past-the-first-chunk-wins"),
         (b"score\n0.5\n0.7,1\n", "3: expected 1 field, got 2"),
         (b"# no header yet\nscores\n", "2: expected header 'score', got 'scores'"),
         # otherwise the bad byte's line is named, counted as the reader splits lines,
         # and the byte's position is counted from the start of that line
         (b"score\n0.5\n0.7\n", f"4: {_BAD_BYTE_AT_4}"),
         (b"\xef\xbb\xbfscore\r\n0.5\r\n0.7\r", f"4: {_BAD_BYTE_AT_4}"),
-        (b"score\n" + b"0.5\n" * 300_000, f"300002: {_BAD_BYTE_AT_4}"),
+        pytest.param(b"score\n" + b"0.5\n" * 300_000, f"300002: {_BAD_BYTE_AT_4}",
+                     id="bad-byte-past-the-first-chunk"),
         (b"# \xe2\x82\xac\n", f"2: {_BAD_BYTE_AT_4}"),
     ])
     def test_invalid_utf8_after_other_lines(self, tmp_path, head, message):

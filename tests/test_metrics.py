@@ -58,8 +58,8 @@ class TestBetaRule:
     """Every entry point that takes a measure weight rejects the same values
     with the same message."""
 
-    @pytest.mark.parametrize("beta", [math.inf, math.nan, 0.0])
-    def test_one_message_everywhere(self, beta):
+    @staticmethod
+    def _messages(beta) -> set:
         model = BinormalModel(mu=0.0, nu=2.0, sigma=1.0, p=0.25)
         probs = ConfusionProbs(p_pos_and_pred=0.2, p_neg_and_pred=0.1, p_pos=0.25, p_pred=0.3)
         population = DiscretePopulation(atoms=((0.25, 0.25), (0.25, 0.25)))
@@ -75,7 +75,23 @@ class TestBetaRule:
             with pytest.raises(ValueError) as exc:
                 call()
             messages.add(str(exc.value))
-        assert messages == {f"beta must be finite and positive, got {beta!r}"}
+        return messages
+
+    @pytest.mark.parametrize("beta", [math.inf, math.nan, 0.0])
+    def test_one_message_everywhere(self, beta):
+        assert self._messages(beta) == {f"beta must be finite and positive, got {beta!r}"}
+
+    @pytest.mark.parametrize("beta, square", [(1e200, math.inf), (1e-200, 0.0)])
+    def test_square_out_of_range_has_one_message_everywhere(self, beta, square):
+        """beta^2 = inf made Q and F nan, and beta^2 = 0 dropped the weight."""
+        assert self._messages(beta) == {
+            f"beta^2 must be a positive finite float, got {beta!r} ** 2 = {square!r}"}
+
+    @pytest.mark.parametrize("beta", [1.3e154, 1.5e-154])
+    def test_squares_near_the_float_range_pass(self, beta):
+        QConfig(beta=beta)
+        assert 0.0 < f_beta(ConfusionProbs(0.2, 0.1, 0.25, 0.3), beta) <= 1.0
+        assert 0.0 < q_beta(0.5, 0.5, beta) <= 1.0
 
 
 class TestMisclassificationCost:

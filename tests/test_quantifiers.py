@@ -7,6 +7,7 @@ this file.
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -238,6 +239,61 @@ class TestSharedGridSolve:
     def test_invalid_beta_is_rejected(self):
         with pytest.raises(ValueError, match="beta"):
             _q_measures_of_mass(DEFAULT_MODEL, 0.5, (1.0, math.inf), NasVariant.NAS_STAR)
+
+
+class TestAnchorsPerModel:
+    """Each model solves its mass-p cut-point (the locally best cut and the kink of the
+    Q search) and the far end of the Q search at most once and keeps them on itself;
+    no solve is shared between models, equal ones included."""
+
+    MODELS = {
+        "default": (0.0, 2.0, 1.0, 0.25),
+        "q-rises-to-the-end": (0.0, 0.335, 1.0, 0.856),
+        "tiny-sigma-far-offset": (1e6, 1e6 + 2e-9, 1e-9, 0.3),
+        "prior-past-the-mass-edge": (0.0, 1.0, 1.0, 1.0 - 1e-10),
+    }
+
+    @staticmethod
+    def _rules(model: BinormalModel) -> list:
+        """The bits of every rule built on the anchors."""
+        rules = [locally_best_classifier(model),
+                 *(q_optimal_classifier(model, QConfig(beta, nas_variant))
+                   for beta in (0.5, 1.0, 2.0) for nas_variant in NasVariant)]
+        return [tuple(float(v).hex() for v in (r.classifier.threshold, r.u_star,
+                                               r.objective_value, r.rates.tpr, r.rates.fpr))
+                for r in rules]
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_equal_models_give_identical_rules(self, name):
+        model = BinormalModel(*self.MODELS[name])
+        first = self._rules(model)
+        assert self._rules(model) == first  # from the kept anchors
+        assert self._rules(BinormalModel(*self.MODELS[name])) == first
+        p = model.p
+        assert first[0][0] == threshold_for_positive_mass(model, p).threshold.hex()
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_pickled_model_gives_the_same_rules(self, name):
+        model = BinormalModel(*self.MODELS[name])
+        before = pickle.loads(pickle.dumps(model))
+        rules = self._rules(model)
+        after = pickle.loads(pickle.dumps(model))
+        assert before == model == after and hash(before) == hash(model) == hash(after)
+        assert self._rules(before) == rules == self._rules(after)
+
+    def test_each_model_solves_its_anchors_once(self, mass_solves):
+        model = BinormalModel(*self.MODELS["default"])
+        self._rules(model)
+        assert mass_solves == [1, 1]
+        self._rules(model)
+        assert mass_solves == [1, 1]
+        self._rules(BinormalModel(*self.MODELS["default"]))
+        assert mass_solves == [1, 1, 1, 1]
+
+    def test_the_far_end_is_solved_only_when_the_search_needs_it(self, mass_solves):
+        """At beta = 2 the default model's Q already falls at the kink."""
+        q_optimal_classifier(BinormalModel(*self.MODELS["default"]), QConfig(beta=2.0))
+        assert mass_solves == [1]
 
 
 class TestQOptimalClassifier:
