@@ -27,7 +27,7 @@ import threading
 import numpy as np
 
 from .binormal import BinormalModel, ThresholdClassifier
-from .discrete_oracle import MAX_ATOMS, _check_population, random_population, thresholded_fbeta_sup
+from .discrete_oracle import MAX_ATOMS, check_population, random_population
 from .empirical import (
     CsvFormatError,
     LabeledSample,
@@ -58,8 +58,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_VIOLATION = 3
-
-_ORACLE_TOL = 1e-12
 
 _NAS_DEFAULT = NasVariant.NAS_STAR.value
 
@@ -325,42 +323,22 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     checks = 0
     violations: list[str] = []
-
-    def record(trial: int, kind: str, what: str, detail: str, atoms) -> None:
-        violations.append(f"trial={trial} {kind} {what}: {detail} atoms={json.dumps(atoms)}")
-
     for trial in range(args.trials):
         n_atoms = int(rng.integers(2, args.max_atoms + 1))
-        for tied in (False, True):
+        for kind, tied in (("distinct", False), ("tied", True)):
             try:
                 population = random_population(rng, n_atoms, tied=tied)
             except RuntimeError as exc:  # the draw gave up on separating posteriors
                 raise ValueError(f"trial {trial}: {exc}") from exc
-            kind = "tied" if tied else "distinct"
             fn_cost, fp_cost = (float(v) for v in rng.uniform(0.05, 2.0, size=2))
             cost = CostParams(fn_cost=fn_cost, fp_cost=fp_cost)
             ratio = cost.posterior_cutoff
             cut_below = ratio * float(rng.uniform(0.05, 0.95))
             cut_above = ratio + (1.0 - ratio) * float(rng.uniform(0.05, 0.95))
-            found = _check_population(population, betas, cost, (cut_below, cut_above), minimax=True)
-            for beta, (_, brute) in zip(betas, found.fbeta):
-                threshold = thresholded_fbeta_sup(population, beta)
-                checks += 1
-                if abs(brute - threshold) > _ORACLE_TOL:
-                    record(trial, kind, f"fbeta beta={beta:g}",
-                           f"brute={brute!r} threshold={threshold!r}", population.atoms)
-            for report in found.local_bayes:
-                checks += 1
-                if not report.holds:
-                    record(trial, kind, f"local-bayes cut={report.cut_level!r}",
-                           f"cut_cost={report.cut_cost!r} best={report.best_cost!r}",
-                           population.atoms)
-            comparison = found.minimax
-            checks += 1
-            if comparison.brute_value > comparison.threshold_value + _ORACLE_TOL:
-                record(trial, kind, "minimax",
-                       f"brute={comparison.brute_value!r} "
-                       f"threshold={comparison.threshold_value!r}", population.atoms)
+            found = check_population(population, betas, cost, (cut_below, cut_above), minimax=True)
+            checks += len(found.fbeta) + len(found.local_bayes) + 1  # 1 minimax check
+            violations += [f"trial={trial} {kind} {line} atoms={json.dumps(population.atoms)}"
+                           for line in found.failed]
 
     print(f"oracle: trials={args.trials} max-atoms={args.max_atoms} seed={args.seed} "
           f"beta={_fmt_betas(betas)}")

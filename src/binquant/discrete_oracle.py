@@ -19,9 +19,10 @@ negative mass of every subset are streamed in slices of ``_BLOCK``
 consecutive masks: the table of the low 15 atoms is built once by
 doubling, and each deeper slice is its parent slice plus one more atom,
 the doubling build's own recurrence, so every mass keeps its bits.  One
-pass per population reduces each slice while it is in cache, for every
-check at once, and no temporary spans all 2^n subsets.  Threshold sets
-are evaluated at their own masks only.
+pass per population, ``check_population``, reduces each slice while it is
+in cache for every check at once and also returns the verdicts; no
+temporary spans all 2^n subsets.  Threshold sets are evaluated at their
+own masks only.
 """
 
 from __future__ import annotations
@@ -40,7 +41,9 @@ __all__ = [
     "SubsetClassifier",
     "LocalBayesReport",
     "MinimaxReport",
+    "PopulationChecks",
     "subset_confusion",
+    "check_population",
     "brute_force_fbeta_max",
     "thresholded_fbeta_sup",
     "local_bayes_check",
@@ -51,8 +54,7 @@ __all__ = [
 MAX_ATOMS = 20
 
 _MASS_SUM_TOL = 1e-12
-_COST_SLACK = 1e-12
-_EQUALITY_TOL = 1e-12
+_VERDICT_TOL = 1e-12
 _LOW_ATOMS = 15
 _BLOCK = 1 << _LOW_ATOMS  # masks per slice: 256 KiB per float64 temporary
 
@@ -299,30 +301,34 @@ class MinimaxReport:
 
 
 @dataclass(frozen=True)
-class _Checks:
-    """What one ``_check_population`` pass found, in the order it was asked."""
+class PopulationChecks:
+    """What one ``check_population`` pass found, in the order it was asked, and
+    ``failed``: a ``what: detail`` line for each check that failed."""
 
     fbeta: tuple[tuple[SubsetClassifier, float], ...]
     local_bayes: tuple[LocalBayesReport, ...]
     minimax: MinimaxReport | None
+    failed: tuple[str, ...]
 
 
-def _check_population(
+def check_population(
     population: DiscretePopulation,
     betas: tuple[float, ...] = (),
     cost: CostParams | None = None,
     cut_levels: tuple[float, ...] = (),
     minimax: bool = False,
-) -> _Checks:
+) -> PopulationChecks:
     """Run the enumeration checks in one pass over the subset masses.
 
     Finds the best F subset for each of ``betas``, checks the posterior cut
     at each of ``cut_levels`` under ``cost`` against its side's subsets, and
-    compares the minimax levels if ``minimax`` is set.  Each slice is
-    reduced for every check while it is in cache, sharing ``pos + neg``
-    and one cost array.  Each check reduces the slice on its own, so each
-    result equals that of its public function, which is this pass asked for
-    that check alone.
+    compares the minimax levels if ``minimax`` is set.  A check fails by more
+    than ``_VERDICT_TOL`` where the best F differs from ``thresholded_fbeta_sup``,
+    the cut costs more than its side's best or the threshold level exceeds
+    the brute-force minimax level.  Each slice is reduced for every check
+    while it is in cache, sharing ``pos + neg`` and one cost array.  Each
+    check reduces the slice on its own, so each result equals that of its
+    public function, which is this pass asked for that check alone.
     """
     b2s = [_check_beta(beta) for beta in betas]
     for level in cut_levels:
@@ -393,12 +399,18 @@ def _check_population(
     # Among tied F maxima, the lexicographically smallest sorted index tuple wins.
     fbeta = tuple((classifier(min(tied, key=lambda m: _mask_to_indices(m, n))), value)
                   for tied, value in zip(f_tied, f_best))
+    thresholds = [thresholded_fbeta_sup(population, beta) for beta in betas]
+    failed = [f"fbeta beta={beta:g}: brute={brute!r} threshold={threshold!r}"
+              for beta, (_, brute), threshold in zip(betas, fbeta, thresholds)
+              if abs(brute - threshold) > _VERDICT_TOL]
     local_bayes = tuple(
         LocalBayesReport(cut_level=level, cost_ratio=ratio, constraint=constraint,
                          included=frozenset(_mask_to_indices(mask, n)), predicted_mass=cut_mass,
                          cut_cost=cut_cost, best_cost=best_cost,
-                         holds=cut_cost <= best_cost + _COST_SLACK)
+                         holds=cut_cost <= best_cost + _VERDICT_TOL)
         for (level, mask, cut_mass, cut_cost, constraint, _), best_cost in zip(cuts, best_costs))
+    failed += [f"local-bayes cut={r.cut_level!r}: cut_cost={r.cut_cost!r} best={r.best_cost!r}"
+               for r in local_bayes if not r.holds]
     report = None
     if minimax:
         # The first threshold set in enumeration order wins ties.
@@ -410,9 +422,11 @@ def _check_population(
             brute_classifier=classifier(brute_mask),
             threshold_value=threshold_value,
             threshold_classifier=classifier(int(population._threshold_masks[best])),
-            equal=abs(brute_value - threshold_value) <= _EQUALITY_TOL,
+            equal=abs(brute_value - threshold_value) <= _VERDICT_TOL,
         )
-    return _Checks(fbeta=fbeta, local_bayes=local_bayes, minimax=report)
+        if brute_value > threshold_value + _VERDICT_TOL:
+            failed.append(f"minimax: brute={brute_value!r} threshold={threshold_value!r}")
+    return PopulationChecks(fbeta, local_bayes, report, tuple(failed))
 
 
 def brute_force_fbeta_max(
@@ -424,7 +438,7 @@ def brute_force_fbeta_max(
     value, the lexicographically smallest sorted index tuple wins.  The
     empty prediction, whose cells are 0, scores 0.
     """
-    return _check_population(population, betas=(beta,)).fbeta[0]
+    return check_population(population, betas=(beta,)).fbeta[0]
 
 
 def thresholded_fbeta_sup(population: DiscretePopulation, beta: float) -> float:
@@ -449,7 +463,7 @@ def local_bayes_check(
     >= m when cut_level < fp_cost / (fn_cost + fp_cost), <= m when above,
     and against every subset at equality.
     """
-    return _check_population(population, cost=cost, cut_levels=(cut_level,)).local_bayes[0]
+    return check_population(population, cost=cost, cut_levels=(cut_level,)).local_bayes[0]
 
 
 def minimax_comparison(population: DiscretePopulation) -> MinimaxReport:
@@ -461,7 +475,7 @@ def minimax_comparison(population: DiscretePopulation) -> MinimaxReport:
     populations the brute-force minimum can be strictly smaller because
     the ratio takes only finitely many values; it can never be larger.
     """
-    return _check_population(population, minimax=True).minimax
+    return check_population(population, minimax=True).minimax
 
 
 def _distinct_posterior_population(rng: np.random.Generator, n_atoms: int) -> DiscretePopulation:

@@ -20,6 +20,7 @@ elementwise; the rest are scalar.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -47,13 +48,13 @@ _PROB_TOL = 1e-9
 
 def _check_beta(beta: float) -> float:
     """beta^2 for a valid measure weight: beta must be finite and positive, and its
-    square must neither overflow to inf nor underflow to 0, which would turn the
-    measures into nan or drop the weight."""
+    square a normal float.  An inf square turns the measures into nan; a subnormal
+    or 0 one drops the weight or fails in the logs of the cut-point searches."""
     if not (math.isfinite(beta) and beta > 0.0):
         raise ValueError(f"beta must be finite and positive, got {beta!r}")
     b2 = beta * beta
-    if not 0.0 < b2 < math.inf:
-        raise ValueError(f"beta^2 must be a positive finite float, got {beta!r} ** 2 = {b2!r}")
+    if not sys.float_info.min <= b2 < math.inf:
+        raise ValueError(f"beta^2 must be a normal positive float, got {beta!r} ** 2 = {b2!r}")
     return b2
 
 

@@ -276,7 +276,7 @@ def q_optimal_classifier(model: BinormalModel, config: QConfig) -> OptimizedClas
         c, shift = 1.0 - p, 0.0
     else:
         c, shift = max(p, 1.0 - p), max(2.0 * p - 1.0, 0.0)
-    log_offset = math.log(c) + math.log(b2 * p)
+    log_offset = math.log(c) + math.log(b2) + math.log(p)
     logit_p = math.log(p / (1.0 - p))
 
     def rises(z: float) -> float:
@@ -313,7 +313,8 @@ def f_optimal_classifier(model: BinormalModel, beta: float) -> OptimizedClassifi
     posterior at F* / (1 + beta^2).  That is solved as Dinkelbach's fixed
     point: from the all-positive value lam = (1 + beta^2) p / (beta^2 p + 1),
     cut at posterior lam / (1 + beta^2) in closed form and take the F value
-    of that cut as the next lam, until F no longer increases.  The cut from
+    of that cut as the next lam, until F no longer increases or the next
+    posterior cut rounds to 1, where no finite cut-point lies.  The cut from
     the last lam is returned, and ``objective_value`` is its F value.
     Where F is nearly flat up to the all-positive rule, the mass of the
     returned cut can round to 1.
@@ -324,7 +325,7 @@ def f_optimal_classifier(model: BinormalModel, beta: float) -> OptimizedClassifi
     while True:
         z = _z_at_posterior(model, lam / (1.0 + b2))
         value = float(_f_formula(p * _tpr_in_z(model.d, z), p, _upper_mass(model, z), b2))
-        if not value > lam:
+        if not (value > lam and value / (1.0 + b2) < 1.0):
             break
         lam = value
     return _optimized(model, ThresholdClassifier(float(model.score(z))), lambda _: value)

@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from binquant import cli, empirical
-from binquant.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from binquant import cli, discrete_oracle, empirical
+from binquant.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 from binquant.empirical import (RNG_ALGORITHM, LabeledSample, ScoreSample, write_labeled_csv,
                                 write_score_csv)
 from binquant.binormal import BinormalModel, ThresholdClassifier
@@ -470,6 +470,28 @@ class TestOracle:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "could not separate atom posteriors" in err
 
+    def test_violations_are_reported_line_by_line(self, monkeypatch, capsys):
+        """A negative tolerance fails every check, so each kind prints its line."""
+        monkeypatch.setattr(discrete_oracle, "_VERDICT_TOL", -1.0)
+        argv = ["oracle", "--trials", "1", "--max-atoms", "2", "--beta", "1"]
+        assert main(argv) == EXIT_VIOLATION
+        distinct = ("atoms=[[0.3748898678414097, 0.2806167400881057], "
+                    "[0.22555066079295155, 0.11894273127753303]]")
+        tied = ("atoms=[[0.22767857142857142, 0.27232142857142855], "
+                "[0.22767857142857142, 0.27232142857142855]]")
+        assert capsys.readouterr().out == f"""\
+oracle: trials=1 max-atoms=2 seed=0 beta=1
+violation: trial=0 distinct fbeta beta=1: brute=0.7503440682631435 threshold=0.7503440682631435 {distinct}
+violation: trial=0 distinct local-bayes cut=0.3031120176783564: cut_cost=0.03285533153195286 best=0.03285533153195286 {distinct}
+violation: trial=0 distinct local-bayes cut=0.9212994307615885: cut_cost=0.07799624695762779 best=0.07799624695762779 {distinct}
+violation: trial=0 distinct minimax: brute=0.6243580337490828 threshold=0.6243580337490828 {distinct}
+violation: trial=0 tied fbeta beta=1: brute=0.6257668711656442 threshold=0.6257668711656442 {tied}
+violation: trial=0 tied local-bayes cut=0.4924621688980286: cut_cost=0.5054777267967527 best=0.5054777267967527 {tied}
+violation: trial=0 tied local-bayes cut=0.6474464615551975: cut_cost=0.5054777267967527 best=0.5054777267967527 {tied}
+violation: trial=0 tied minimax: brute=0.5 threshold=0.9999999999999998 {tied}
+oracle: checks=8 violations=8
+"""
+
     def test_trials_must_be_positive(self):
         assert main(["oracle", "--trials", "0"]) == EXIT_USAGE
 
@@ -738,12 +760,13 @@ class TestFlagSet:
 
     @pytest.mark.parametrize("command", ["figure-qcurve", "figure-error", "optimize",
                                          "quantify", "oracle"])
-    @pytest.mark.parametrize("beta, square", [("1e200", "inf"), ("1e-200", "0.0")])
+    @pytest.mark.parametrize("beta, square", [("1e200", "inf"), ("1e-200", "0.0"),
+                                              ("2e-162", "5e-324"), ("1e-155", "1e-310")])
     def test_beta_with_a_square_out_of_range_is_a_usage_error(self, command, beta, square,
                                                               sample_files, capsys):
         """Such a beta once wrote nan into the Q column or failed with a data error."""
         assert main(self._beta_argv(command, beta, sample_files)) == EXIT_USAGE
-        assert capsys.readouterr() == ("", "error: --beta: beta^2 must be a positive finite "
+        assert capsys.readouterr() == ("", "error: --beta: beta^2 must be a normal positive "
                                            f"float, got {float(beta)!r} ** 2 = {square}\n")
 
     @pytest.mark.parametrize("command", ["figure-qcurve", "figure-error", "optimize",
@@ -754,6 +777,18 @@ class TestFlagSet:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(self._beta_argv(command, beta, sample_files)) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--nu", "12", "--p", "0.9", "--beta", "1e-20"],
+        ["optimize", "--beta", "1e-100", "--p", "1e-300"],
+    ])
+    def test_extreme_model_and_beta_run(self, argv, capsys):
+        """The F search once divided by zero at a posterior cut of 1, and the Q
+        search took the log of beta^2 p after it underflowed to 0."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == EXIT_OK
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("betas", [("3", "5"), ("5", "3"), ("1", "1")])

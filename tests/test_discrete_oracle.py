@@ -15,8 +15,8 @@ import pytest
 from binquant.discrete_oracle import (
     _BLOCK,
     MAX_ATOMS,
-    _check_population,
     _slices,
+    check_population,
     DiscretePopulation,
     SubsetClassifier,
     brute_force_fbeta_max,
@@ -385,7 +385,7 @@ class TestOnePass:
         cost = CostParams(0.7, 1.3)
         ratio = cost.posterior_cutoff
         betas, levels = (0.5, 1.0, 2.0), (0.5 * ratio, ratio, 0.5 * (1.0 + ratio))
-        found = _check_population(pop, betas, cost, levels, minimax=True)
+        found = check_population(pop, betas, cost, levels, minimax=True)
         assert found.fbeta == tuple(brute_force_fbeta_max(pop, beta) for beta in betas)
         assert found.local_bayes == tuple(local_bayes_check(pop, cost, level) for level in levels)
         assert [r.constraint for r in found.local_bayes] == ["mass_at_least", "all", "mass_at_most"]

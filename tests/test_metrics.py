@@ -81,11 +81,13 @@ class TestBetaRule:
     def test_one_message_everywhere(self, beta):
         assert self._messages(beta) == {f"beta must be finite and positive, got {beta!r}"}
 
-    @pytest.mark.parametrize("beta, square", [(1e200, math.inf), (1e-200, 0.0)])
+    @pytest.mark.parametrize("beta, square", [(1e200, math.inf), (1e-200, 0.0),
+                                              (2e-162, 5e-324), (1e-155, 1e-310)])
     def test_square_out_of_range_has_one_message_everywhere(self, beta, square):
-        """beta^2 = inf made Q and F nan, and beta^2 = 0 dropped the weight."""
+        """beta^2 = inf made Q and F nan, beta^2 = 0 dropped the weight, and a
+        subnormal beta^2 failed in the logs of the cut-point searches."""
         assert self._messages(beta) == {
-            f"beta^2 must be a positive finite float, got {beta!r} ** 2 = {square!r}"}
+            f"beta^2 must be a normal positive float, got {beta!r} ** 2 = {square!r}"}
 
     @pytest.mark.parametrize("beta", [1.3e154, 1.5e-154])
     def test_squares_near_the_float_range_pass(self, beta):

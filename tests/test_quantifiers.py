@@ -339,6 +339,14 @@ class TestQOptimalClassifier:
         assert 0.0 < result.u_star < 1.0
         assert 0.0 <= result.objective_value <= 1.0
 
+    def test_tiny_beta_square_times_tiny_prior(self):
+        """beta^2 p = 1e-500 underflows to 0, whose log once raised a math domain
+        error; Q rises all the way, so the end cut is returned."""
+        model = BinormalModel(mu=0.0, nu=2.0, sigma=1.0, p=1e-300)
+        result = q_optimal_classifier(model, QConfig(beta=1e-100))
+        assert result.classifier == threshold_for_positive_mass(model, 1.0 - 1e-9)
+        assert 0.0 < result.objective_value <= 1.0
+
 
 class TestFOptimalClassifier:
     def test_frozen_beta1_optimum(self):
@@ -377,6 +385,16 @@ class TestFOptimalClassifier:
             grid = np.linspace(1e-6, 1.0 - 1e-6, 10_000)
             values = f_measure_of_mass(DEFAULT_MODEL, grid, beta)
             assert float(np.max(values)) <= result.objective_value + 1e-9
+
+    @pytest.mark.parametrize("beta", [1e-9, 1e-20])
+    def test_stops_before_a_posterior_cut_of_one(self, beta):
+        """F rounds to 1 here, so the next posterior cut F / (1 + beta^2) rounds to
+        1, which has no finite cut-point and once raised ZeroDivisionError."""
+        model = BinormalModel(mu=0.0, nu=12.0, sigma=1.0, p=0.9)
+        result = f_optimal_classifier(model, beta)
+        assert math.isfinite(result.classifier.threshold)
+        assert posterior(model, result.classifier.threshold) < 1.0
+        assert result.objective_value == f_measure_of_mass(model, result.u_star, beta) == 1.0
 
 
 class TestClassifyAndCount:
