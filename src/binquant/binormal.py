@@ -140,9 +140,14 @@ class BinormalModel:
     @functools.cached_property
     def _z_at_far_mass(self) -> float:
         """z-score of the cut-point flagging mass 1 - _MASS_EDGE, or (p + 1) / 2 where
-        p is not below that: the far end of the Q search."""
+        p is not below that: the far end of the Q search.  Where that midpoint rounds
+        to 1, no mass lies strictly between p and 1, and the far end is the kink."""
         far = 1.0 - _MASS_EDGE
-        return float(_z_at_upper_mass(self, far if far > self.p else 0.5 * (self.p + 1.0)))
+        if far <= self.p:
+            far = 0.5 * (self.p + 1.0)
+            if far >= 1.0:
+                return self._z_at_prior_mass
+        return float(_z_at_upper_mass(self, far))
 
 
 @dataclass(frozen=True)

@@ -40,10 +40,8 @@ from .empirical import (
     read_labeled_csv,
     read_score_csv,
 )
-from .metrics import (CostParams, NasVariant, QConfig, _check_beta, misclassification_cost,
-                      prediction_error)
+from .metrics import CostParams, NasVariant, QConfig, _check_beta, prediction_error
 from .quantifiers import (
-    _optimized,
     _q_measures_of_mass,
     bayes_classifier,
     f_optimal_classifier,
@@ -67,6 +65,15 @@ _BETAS_HELP = "measure weight, repeatable (default 1 and 2)"
 # about 6 ms whatever the size, and on a 2-vCPU host forking and reading in process
 # break even for files of 190-310 KiB next to a train file of the same length.
 _FORK_MIN_BYTES = 1 << 18
+
+# The named cut-point rules in --rule order, each with its figure-error column and its
+# constructor of (model, QConfig).  The lambdas look the constructors up at call time,
+# so a wrapper set on this module's names (perfbench/tracing.py) still sees each call.
+_RULES = {
+    "minimax": ("err_minimax", lambda model, config: minimax_classifier(model)),
+    "locally-best": ("err_locallybest", lambda model, config: locally_best_classifier(model)),
+    "q-optimal": ("err_qopt", lambda model, config: q_optimal_classifier(model, config)),
+}
 
 
 class _UsageError(Exception):
@@ -152,17 +159,12 @@ def _cmd_figure_error(args: argparse.Namespace) -> int:
     if len(betas) > 1:
         raise _UsageError(f"figure-error takes one --beta, got {len(betas)}")
     grid = _grid(args)
-    q_opt = q_optimal_classifier(model, QConfig(beta=betas[0], nas_variant=nas_variant))
-    mm = minimax_classifier(model)
-    lb = locally_best_classifier(model)
+    config = QConfig(beta=betas[0], nas_variant=nas_variant)
+    *others, q_opt = _RULES.values()
+    names, rules = zip(q_opt, *others)  # the q-optimal column comes first
     w = np.linspace(0.0, 1.0, grid)
-    header = ["w", "err_qopt", "err_minimax", "err_locallybest"]
-    columns = [
-        w,
-        prediction_error(q_opt.rates, w),
-        prediction_error(mm.rates, w),
-        prediction_error(lb.rates, w),
-    ]
+    header = ["w", *names]
+    columns = [w, *(prediction_error(rule(model, config).rates, w) for rule in rules)]
     comment = f"{_comment('figure-error', model, betas, nas_variant)} grid={grid}"
     _write_csv(args.out, comment, header, columns)
     return EXIT_OK
@@ -179,7 +181,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     solvers = {"q_optimal": lambda b: q_optimal_classifier(model, QConfig(b, nas_variant)),
                "f_optimal": lambda b: f_optimal_classifier(model, b)}
     named = [
-        ("bayes", _optimized(model, bayes, lambda r: misclassification_cost(cost, r, model.p))),
+        ("bayes", bayes),
         ("minimax", minimax_classifier(model)),
         ("locally_best", locally_best_classifier(model)),
         *((f"{kind}_beta={b:g}", solve(b)) for kind, solve in solvers.items() for b in betas),
@@ -193,10 +195,19 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
                    f"cost-fn={args.cost_fn:g} cost-fp={args.cost_fp:g}")
         _write_csv(args.out, comment, header, list(zip(*rows)))
     else:
-        print(f"{header[0]:<22}" + "".join(f"{h:>14}" for h in header[1:]))
+        print(_table_line(header[0], (f"{h:>14}" for h in header[1:])))
         for name, *values in rows:
-            print(f"{name:<22}" + "".join(f"{v:>14.6f}" for v in values))
+            print(_table_line(name, (f"{v:>14.6f}" for v in values)))
     return EXIT_OK
+
+
+def _table_line(name: str, cells) -> str:
+    """A row of the optimize table: the name padded to 22 characters, then the cells,
+    each led by one space where it would otherwise touch the text before it."""
+    line = f"{name:<22}"
+    for cell in cells:
+        line += cell if line[-1] == " " or cell[0] == " " else f" {cell}"
+    return line
 
 
 def _read_inputs(train_path: str, target_path: str) -> tuple[LabeledSample, ScoreSample]:
@@ -291,13 +302,8 @@ def _cmd_quantify(args: argparse.Namespace) -> int:
     if args.rule is not None:
         if model is None:
             model = fit_binormal(train)
-        if args.rule == "minimax":
-            classifier = minimax_classifier(model).classifier
-        elif args.rule == "locally-best":
-            classifier = locally_best_classifier(model).classifier
-        else:
-            config = QConfig(beta=betas[0], nas_variant=NasVariant(args.nas or _NAS_DEFAULT))
-            classifier = q_optimal_classifier(model, config).classifier
+        config = QConfig(beta=betas[0], nas_variant=NasVariant(args.nas or _NAS_DEFAULT))
+        classifier = _RULES[args.rule][1](model, config).classifier
 
     rates = estimate_rates(train, classifier)
     print(f"threshold={classifier.threshold!r}")
@@ -383,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="estimator to report (default %(default)s)")
     sub.add_argument("--threshold", type=float, default=None,
                      help="explicit cut-point")
-    sub.add_argument("--rule", choices=["minimax", "locally-best", "q-optimal"], default=None,
+    sub.add_argument("--rule", choices=_RULES, default=None,
                      help="named cut-point construction")
     _add_model_flags(sub, with_defaults=False)
     sub.add_argument("--beta", type=float, action="append", metavar="B",

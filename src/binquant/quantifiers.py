@@ -1,7 +1,9 @@
 """Optimal cut-point classifiers and count-based prevalence estimators.
 
 Construction side: given a two-normal score model, build the classifier
-that is optimal for a chosen objective.
+that is optimal for a chosen objective.  Each of the five constructors
+returns an ``OptimizedClassifier``: the cut-point rule, its exact rates,
+its predicted-positive mass and the value of its objective.
 
 * ``bayes_classifier``: minimum expected misclassification cost; the
   optimal rule thresholds the posterior at fp_cost / (fn_cost + fp_cost).
@@ -48,7 +50,8 @@ from .binormal import (
     classifier_rates,
 )
 from .metrics import (CostParams, NasVariant, QConfig, _check_beta, _check_unit_interval,
-                      _f_formula, _q_formula, error_bound, nas, nas_star, shifted_prevalence)
+                      _f_formula, _q_formula, error_bound, misclassification_cost, nas,
+                      nas_star, shifted_prevalence)
 
 __all__ = [
     "DegenerateCostError",
@@ -124,13 +127,13 @@ class QuantificationEstimate:
             raise ValueError("ac_clamped must equal ac clipped to [0, 1]")
 
 
-def bayes_classifier(model: BinormalModel, cost: CostParams) -> ThresholdClassifier:
+def bayes_classifier(model: BinormalModel, cost: CostParams) -> OptimizedClassifier:
     """Minimum-expected-cost cut-point.
 
     Predicting positive is cheaper exactly where the posterior exceeds
     fp_cost / (fn_cost + fp_cost); because the posterior is strictly
     increasing in the score, that region is a cut-point rule, solved here
-    in closed form.
+    in closed form.  ``objective_value`` is the expected cost of its rates.
 
     Raises
     ------
@@ -151,7 +154,8 @@ def bayes_classifier(model: BinormalModel, cost: CostParams) -> ThresholdClassif
             "all_negative",
             "misses cost nothing; predicting all negative is optimal",
         )
-    return ThresholdClassifier(_score_at_posterior(model, cutoff))
+    classifier = ThresholdClassifier(_score_at_posterior(model, cutoff))
+    return _optimized(model, classifier, lambda rates: misclassification_cost(cost, rates, model.p))
 
 
 def threshold_for_positive_mass(model: BinormalModel, u: float) -> ThresholdClassifier:
@@ -314,17 +318,23 @@ def f_optimal_classifier(model: BinormalModel, beta: float) -> OptimizedClassifi
     point: from the all-positive value lam = (1 + beta^2) p / (beta^2 p + 1),
     cut at posterior lam / (1 + beta^2) in closed form and take the F value
     of that cut as the next lam, until F no longer increases or the next
-    posterior cut rounds to 1, where no finite cut-point lies.  The cut from
-    the last lam is returned, and ``objective_value`` is its F value.
-    Where F is nearly flat up to the all-positive rule, the mass of the
-    returned cut can round to 1.
+    posterior cut rounds to 1, where no finite cut-point lies, or the mass
+    of the next cut underflows to 0, where F is 0 / 0.  The cut from the
+    last lam is returned, or the last cut with a positive mass, and
+    ``objective_value`` is its F value.  Where F is nearly flat up to the
+    all-positive rule, the mass of the returned cut can round to 1.
     """
     b2 = _check_beta(beta)
     p = model.p
     lam = _f_formula(p, p, 1.0, b2)
     while True:
-        z = _z_at_posterior(model, lam / (1.0 + b2))
-        value = float(_f_formula(p * _tpr_in_z(model.d, z), p, _upper_mass(model, z), b2))
+        # The first posterior cut is at most p, so that cut flags at least mass p / 2.
+        z_next = _z_at_posterior(model, lam / (1.0 + b2))
+        mass = _upper_mass(model, z_next)
+        if mass == 0.0:
+            break
+        z = z_next
+        value = float(_f_formula(p * _tpr_in_z(model.d, z), p, mass, b2))
         if not (value > lam and value / (1.0 + b2) < 1.0):
             break
         lam = value

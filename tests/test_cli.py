@@ -539,6 +539,16 @@ class TestOptimizeReadmeExample:
         assert main(["optimize"]) == EXIT_OK
         assert capsys.readouterr().out == README_OPTIMIZE_TABLE
 
+    def test_long_cells_stay_apart(self, capsys):
+        """A 22-character name and a 15-character threshold once ran together."""
+        assert main(["optimize", "--mu=-1e7", "--nu=-9999998", "--beta", "1.5e-15"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[4] == ("q_optimal_beta=1.5e-15 -10000005.950903      1.000000      "
+                            "1.000000      1.000000      1.000000")
+        assert lines[3] == ("locally_best          -9999998.640427      0.250000      "
+                            "0.739052      0.086983      0.260948")
+        assert all(len(line.split()) == 6 for line in lines)
+
     @pytest.mark.parametrize("flag", ["--cost-fn", "--cost-fp"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_nonfinite_cost_is_a_usage_error(self, flag, value, capsys):
@@ -782,14 +792,18 @@ class TestFlagSet:
     @pytest.mark.parametrize("argv", [
         ["optimize", "--nu", "12", "--p", "0.9", "--beta", "1e-20"],
         ["optimize", "--beta", "1e-100", "--p", "1e-300"],
+        ["optimize", "--nu", "0.003869", "--p", "2.36e-33", "--beta", "4.67e-149"],
+        ["optimize", "--p", "0.9999999999999999", "--beta", "1e-15"],
     ])
     def test_extreme_model_and_beta_run(self, argv, capsys):
-        """The F search once divided by zero at a posterior cut of 1, and the Q
-        search took the log of beta^2 p after it underflowed to 0."""
+        """The F search once divided by zero at a posterior cut of 1 and printed F = nan
+        at a cut flagging mass 0; the Q search took the log of beta^2 p after it
+        underflowed to 0, and of 0 where its far mass (p + 1) / 2 rounded to 1."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(argv) == EXIT_OK
-        assert capsys.readouterr().err == ""
+        out, err = capsys.readouterr()
+        assert err == "" and "nan" not in out
 
     @pytest.mark.parametrize("betas", [("3", "5"), ("5", "3"), ("1", "1")])
     def test_repeated_beta_with_figure_error_is_a_usage_error(self, betas, tmp_path, capsys):

@@ -8,6 +8,7 @@ this file.
 
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -68,13 +69,13 @@ AC_FROM_MINIMAX_RATES = 0.13380130662711398
 class TestBayesClassifier:
     def test_equal_costs_threshold(self):
         """Posterior cutoff 1/2 lands at (2 + ln 3) / 2 under the defaults."""
-        clf = bayes_classifier(DEFAULT_MODEL, CostParams(1.0, 1.0))
+        clf = bayes_classifier(DEFAULT_MODEL, CostParams(1.0, 1.0)).classifier
         np.testing.assert_allclose(clf.threshold, (2.0 + math.log(3.0)) / 2.0, atol=1e-12)
 
     def test_threshold_hits_requested_posterior(self):
         for fn, fp in ((1.0, 1.0), (3.0, 1.0), (0.5, 2.0)):
             cost = CostParams(fn, fp)
-            clf = bayes_classifier(DEFAULT_MODEL, cost)
+            clf = bayes_classifier(DEFAULT_MODEL, cost).classifier
             back = posterior(DEFAULT_MODEL, clf.threshold)
             np.testing.assert_allclose(back, cost.posterior_cutoff, atol=1e-12)
 
@@ -91,7 +92,7 @@ class TestBayesClassifier:
     def test_cheaper_misses_push_threshold_up(self):
         low = bayes_classifier(DEFAULT_MODEL, CostParams(fn_cost=4.0, fp_cost=1.0))
         high = bayes_classifier(DEFAULT_MODEL, CostParams(fn_cost=1.0, fp_cost=4.0))
-        assert low.threshold < high.threshold
+        assert low.classifier.threshold < high.classifier.threshold
 
 
 class TestThresholdForPositiveMass:
@@ -347,6 +348,16 @@ class TestQOptimalClassifier:
         assert result.classifier == threshold_for_positive_mass(model, 1.0 - 1e-9)
         assert 0.0 < result.objective_value <= 1.0
 
+    def test_prior_next_to_one_ends_at_the_kink(self):
+        """At p = 1 - 2^-53 the far mass (p + 1) / 2 rounds to 1, whose cut once took
+        log(0); no mass lies between p and 1, so the kink is the far end too."""
+        model = BinormalModel(mu=0.0, nu=2.0, sigma=1.0, p=1.0 - 2.0 ** -53)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = q_optimal_classifier(model, QConfig(beta=1e-15))
+        assert result.classifier == locally_best_classifier(model).classifier
+        assert 0.0 < result.objective_value <= 1.0
+
 
 class TestFOptimalClassifier:
     def test_frozen_beta1_optimum(self):
@@ -395,6 +406,16 @@ class TestFOptimalClassifier:
         assert math.isfinite(result.classifier.threshold)
         assert posterior(model, result.classifier.threshold) < 1.0
         assert result.objective_value == f_measure_of_mass(model, result.u_star, beta) == 1.0
+
+    def test_stops_before_a_cut_flagging_no_mass(self):
+        """F keeps rising toward the precision limit 1, but the mass of the cut
+        underflows to 0 first; the cut there once gave F = 0 / 0 = nan."""
+        model = BinormalModel(mu=0.0, nu=0.003869, sigma=1.0, p=2.36e-33)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = f_optimal_classifier(model, 4.67e-149)
+        assert result.u_star > 0.0
+        assert 0.0 < result.objective_value < 1.0
 
 
 class TestClassifyAndCount:
@@ -483,7 +504,7 @@ class TestScaleAndOffset:
             q = cost.posterior_cutoff
             d = model.d
             z_closed = d / 2.0 + (math.log(q / (1.0 - q)) - math.log(model.p / (1.0 - model.p))) / d
-            t = bayes_classifier(model, cost).threshold
+            t = bayes_classifier(model, cost).classifier.threshold
             assert _within_or_bracketed(
                 model.mu + model.sigma * z_closed, lambda x: x, t, tol=1e-8 * model.sigma
             ), (t, z_closed)
@@ -533,10 +554,7 @@ class TestAffineInvariance:
         model = BinormalModel(mu=a, nu=a + d * b, sigma=b, p=p)
         reference = BinormalModel(mu=0.0, nu=model.d, sigma=1.0, p=model.p)
         got, want = _RULES[rule](model), _RULES[rule](reference)
-        if rule == "bayes":
-            t, t_ref = got.threshold, want.threshold
-        else:
-            t, t_ref = got.classifier.threshold, want.classifier.threshold
+        t, t_ref = got.classifier.threshold, want.classifier.threshold
         assert abs(t - (a + b * t_ref)) <= max(1e-12 * b, 2.0 * np.spacing(abs(t)))
 
         def rates_at(x):
@@ -550,7 +568,6 @@ class TestAffineInvariance:
         }
         for name, (expected, f) in checks.items():
             assert _within_or_bracketed(expected, f, t), (name, expected, f(t))
-        if rule != "bayes":
-            assert _within_or_bracketed(want.u_star, lambda x: _mass_above(model, x), t)
-            if rule.startswith(("q_", "f_")):
-                assert abs(got.objective_value - want.objective_value) <= 1e-12
+        assert _within_or_bracketed(want.u_star, lambda x: _mass_above(model, x), t)
+        if rule.startswith(("q_", "f_")):
+            assert abs(got.objective_value - want.objective_value) <= 1e-12
