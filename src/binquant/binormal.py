@@ -25,12 +25,14 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "BinormalModel",
+    "ModelFieldError",
     "ThresholdClassifier",
     "Rates",
     "std_normal_cdf",
@@ -80,6 +82,15 @@ def _ndtri(u):
     return _ndtri(u)
 
 
+class ModelFieldError(ValueError):
+    """A ``BinormalModel`` field lies outside its domain; ``fields`` names the fields at
+    fault, so that a caller can name its own source of each."""
+
+    def __init__(self, fields: tuple[str, ...], message: str) -> None:
+        super().__init__(message)
+        self.fields = fields
+
+
 @dataclass(frozen=True)
 class BinormalModel:
     """Two-class score population with equal-variance normal components.
@@ -94,7 +105,12 @@ class BinormalModel:
     sigma : float
         Common standard deviation of both components, strictly positive.
     p : float
-        Prior probability of the positive class, strictly inside (0, 1).
+        Prior probability of the positive class, a normal float inside (0, 1).
+
+    Raises
+    ------
+    ModelFieldError
+        If a field lies outside its domain.
     """
 
     mu: float
@@ -104,15 +120,21 @@ class BinormalModel:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.mu) and math.isfinite(self.nu)):
-            raise ValueError("component means must be finite")
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError(f"sigma must be positive, got {self.sigma!r}")
-        if not self.mu < self.nu:
-            raise ValueError(
-                f"negative-class mean must lie below positive-class mean, "
-                f"got mu={self.mu!r}, nu={self.nu!r}"
+            raise ModelFieldError(
+                ("mu", "nu"), f"component means must be finite, got mu={self.mu!r}, nu={self.nu!r}"
             )
-        _check_prior(self.p)
+        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
+            raise ModelFieldError(("sigma",), f"sigma must be positive, got {self.sigma!r}")
+        if not self.mu < self.nu:
+            raise ModelFieldError(
+                ("mu", "nu"),
+                f"negative-class mean must lie below positive-class mean, "
+                f"got mu={self.mu!r}, nu={self.nu!r}",
+            )
+        try:
+            _check_prior(self.p)
+        except ValueError as exc:
+            raise ModelFieldError(("p",), str(exc)) from None
 
     @property
     def d(self) -> float:
@@ -177,9 +199,8 @@ class Rates:
     fpr: float
 
     def __post_init__(self) -> None:
-        for name, value in (("tpr", self.tpr), ("fpr", self.fpr)):
-            if not (0.0 <= value <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+        _check_probability(self.tpr, "tpr")
+        _check_probability(self.fpr, "fpr")
 
     @property
     def fnr(self) -> float:
@@ -187,17 +208,30 @@ class Rates:
         return 1.0 - self.tpr
 
 
+def _check_probability(value, name: str, open_interval: bool = False):
+    """``value`` if it lies in [0, 1], or in (0, 1) with ``open_interval``: a float as it is,
+    anything else as a float ndarray.  Else ``ValueError`` names the first value out of range."""
+    low = high = value  # a float takes plain comparisons: a numpy call costs more than the check
+    if not isinstance(value, float):
+        value = np.asarray(value, dtype=float)
+        # min and max propagate nan, and -0.0 > 0.0 is False, so nan, +-inf and +-0.0 fail
+        # too; the initial 0.5 is what an empty array has for both and passes
+        low, high = value.min(initial=0.5), value.max(initial=0.5)
+    if (low > 0.0 and high < 1.0) if open_interval else (low >= 0.0 and high <= 1.0):
+        return value
+    if isinstance(value, np.ndarray):  # the first value out of range raises
+        for element in value.ravel().tolist():
+            _check_probability(element, name, open_interval)
+    raise ValueError(f"{name} must lie in {'(0, 1)' if open_interval else '[0, 1]'}, "
+                     f"got {float(value)!r}")
+
+
 def _check_prior(p: float) -> None:
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"positive prior must lie in (0, 1), got {p!r}")
-
-
-def _check_levels(u) -> np.ndarray:
-    arr = np.asarray(u, dtype=float)
-    # min and max propagate nan, and -0.0 > 0.0 is False, so nan, +-inf and +-0.0 fail too
-    if arr.size and not (arr.min() > 0.0 and arr.max() < 1.0):
-        raise ValueError("probability level must lie strictly inside (0, 1)")
-    return arr
+    """A valid positive prior: in (0, 1) and a normal float, as the logs of the cut-point
+    formulas need; below the smallest normal float they lose their bits or overflow."""
+    _check_probability(p, "positive prior", open_interval=True)
+    if p < sys.float_info.min:
+        raise ValueError(f"positive prior must be a normal float, got {p!r}")
 
 
 def std_normal_cdf(x):
@@ -212,7 +246,7 @@ def std_normal_quantile(u):
     ``scipy.special.ndtri``, accurate to a few ulp; levels outside (0, 1)
     raise ``ValueError``.  Accepts a float or an ndarray.
     """
-    out = _ndtri(_check_levels(u))
+    out = _ndtri(_check_probability(u, "probability level", open_interval=True))
     return out if np.ndim(u) else float(out)
 
 
@@ -308,7 +342,8 @@ def mixture_quantile(model: BinormalModel, u):
     reaches 1.5e-8 for sigma = 1e-3 and 1.7e-2 for sigma = 1e-9.  Accepts a
     float or an ndarray.
     """
-    out = model.score(_z_at_mass(model.d, model.p, 1.0 - model.p, _check_levels(u)))
+    levels = _check_probability(u, "probability level", open_interval=True)
+    out = model.score(_z_at_mass(model.d, model.p, 1.0 - model.p, levels))
     return out if np.ndim(u) else float(out)
 
 
@@ -332,15 +367,22 @@ def posterior(model: BinormalModel, x: float) -> float:
     return weighted / (weighted + 1.0 - model.p)
 
 
-def _z_at_posterior(model: BinormalModel, q: float) -> float:
-    """z-score at which the posterior equals q in (0, 1): d / 2 + (logit q - logit p) / d."""
-    logit_gap = math.log(q * (1.0 - model.p) / ((1.0 - q) * model.p))
-    return 0.5 * model.d + logit_gap / model.d
+def _z_at_posterior_odds(model: BinormalModel, pos: float, neg: float) -> float:
+    """z-score at which the posterior odds are pos : neg, both positive, so that the
+    posterior is pos / (pos + neg): d / 2 + (log(pos / neg) - logit p) / d.
 
-
-def _score_at_posterior(model: BinormalModel, q: float) -> float:
-    """Score at which the posterior equals q in (0, 1)."""
-    return model.score(_z_at_posterior(model, q))
+    The log is taken of the odds ratio pos (1 - p) / (neg p) where that ratio and its
+    denominator are normal floats, and as a sum of logs where one would overflow or
+    underflow.
+    """
+    p = model.p
+    denominator = neg * p
+    ratio = pos * (1.0 - p) / denominator if denominator >= sys.float_info.min else 0.0
+    if sys.float_info.min <= ratio < math.inf:
+        log_ratio = math.log(ratio)
+    else:
+        log_ratio = (math.log(pos) - math.log(neg)) - (math.log(p) - math.log1p(-p))
+    return 0.5 * model.d + log_ratio / model.d
 
 
 def classifier_rates(model: BinormalModel, classifier: ThresholdClassifier) -> Rates:

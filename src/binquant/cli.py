@@ -26,7 +26,7 @@ import threading
 
 import numpy as np
 
-from .binormal import BinormalModel, ThresholdClassifier
+from .binormal import BinormalModel, ModelFieldError, ThresholdClassifier
 from .discrete_oracle import MAX_ATOMS, check_population, random_population
 from .empirical import (
     CsvFormatError,
@@ -120,8 +120,9 @@ def _betas(args: argparse.Namespace, default: tuple[float, ...]) -> tuple[float,
 def _model(args: argparse.Namespace) -> BinormalModel:
     try:
         return BinormalModel(mu=args.mu, nu=args.nu, sigma=args.sigma, p=args.p)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    except ModelFieldError as exc:
+        flags = "/".join(f"--{field}" for field in exc.fields)
+        raise _UsageError(f"{flags}: {exc}") from exc
 
 
 def _grid(args: argparse.Namespace) -> int:

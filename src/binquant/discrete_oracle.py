@@ -33,6 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .binormal import _check_probability
 from .metrics import ConfusionProbs, CostParams, _check_beta, _f_formula
 
 __all__ = [
@@ -96,12 +97,12 @@ class DiscretePopulation:
     def n_atoms(self) -> int:
         return len(self.atoms)
 
-    @property
+    @cached_property
     def prevalence(self) -> float:
         """Total positive-class mass P[A]."""
         return math.fsum(mp for mp, _ in self.atoms)
 
-    @property
+    @cached_property
     def posteriors(self) -> tuple[float, ...]:
         """Per-atom positive-class posterior mp / (mp + mn)."""
         return tuple(mp / (mp + mn) for mp, mn in self.atoms)
@@ -331,9 +332,7 @@ def check_population(
     public function, which is this pass asked for that check alone.
     """
     b2s = [_check_beta(beta) for beta in betas]
-    for level in cut_levels:
-        if not (0.0 <= level <= 1.0):
-            raise ValueError(f"cut level must lie in [0, 1], got {level!r}")
+    _check_probability(cut_levels, "cut level")
     prevalence, n = population.prevalence, population.n_atoms
 
     # Each cut H = {posterior > level} with predicted mass m is compared against
@@ -487,8 +486,8 @@ def _distinct_posterior_population(rng: np.random.Generator, n_atoms: int) -> Di
         if n_atoms == 1 or np.min(np.diff(order)) >= 1e-6:
             return DiscretePopulation(atoms=tuple((row[0], row[1]) for row in masses))
         # nudge colliding atoms apart, then renormalize on the next pass
+        ranked = np.argsort(posteriors)
         for i in range(1, n_atoms):
-            ranked = np.argsort(posteriors)
             if posteriors[ranked[i]] - posteriors[ranked[i - 1]] < 1e-6:
                 counts[ranked[i], 0] *= 1.0 + 1e-6 * (i + 1)
     raise RuntimeError("could not separate atom posteriors")

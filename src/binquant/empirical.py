@@ -65,6 +65,11 @@ class CsvFormatError(ValueError):
     """A score file does not follow the documented CSV format."""
 
 
+def _is_label(labels) -> np.ndarray:
+    """Whether each of ``labels`` is -1 or 1, elementwise."""
+    return (labels == NEGATIVE_LABEL) | (labels == POSITIVE_LABEL)
+
+
 def _score_array(scores, unit: str) -> np.ndarray:
     """Read-only float64 copy of a non-empty, one-dimensional run of finite scores."""
     array = np.array(scores, dtype=np.float64)
@@ -90,9 +95,8 @@ class LabeledSample:
         if labels.shape != scores.shape:
             raise ValueError(f"expected {scores.size} labels, one per score, got shape {labels.shape}")
         # Checked before the int8 cast, so that 255 or 1.5 cannot pass as -1 or 1.
-        bad = (labels != NEGATIVE_LABEL) & (labels != POSITIVE_LABEL)
-        if bad.any():
-            raise ValueError(f"labels must be -1 or 1, got {labels[np.argmax(bad)].item()!r}")
+        if not (valid := _is_label(labels)).all():
+            raise ValueError(f"labels must be -1 or 1, got {labels[np.argmin(valid)].item()!r}")
         self._scores = scores
         self._labels = labels.astype(np.int8)
         self._labels.flags.writeable = False
@@ -222,8 +226,7 @@ _WRITE_ROWS = 1 << 14  # the writer hands its target this many lines per write c
 # Per field: its numpy type in a chunk and on one faulty line (labels as any int64 there,
 # so that 300 fails the value test and not the syntax), the value test and its fault.
 _FIELDS = {"score": ("f8", "f8", np.isfinite, "non-finite score"),
-           "label": ("i1", "i8", lambda label: np.isin(label, (NEGATIVE_LABEL, POSITIVE_LABEL)),
-                     "label must be -1 or 1, got")}
+           "label": ("i1", "i8", _is_label, "label must be -1 or 1, got")}
 _loadtxt = functools.partial(np.loadtxt, delimiter=",", comments=None, ndmin=1)
 
 

@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .binormal import Rates, _check_prior
+from .binormal import Rates, _check_prior, _check_probability
 
 __all__ = [
     "CostParams",
@@ -138,15 +138,8 @@ def misclassification_cost(cost: CostParams, rates: Rates, p_pos: float) -> floa
     The miss cell is ``p_pos * fnr``; forming it as ``p_pos - p_pos * tpr`` would
     cancel as tpr nears 1, while ``fnr = 1 - tpr`` is exact for tpr >= 1/2.
     """
-    p = float(_check_unit_interval(p_pos, "p_pos"))
+    p = float(_check_probability(p_pos, "p_pos"))
     return cost.fn_cost * (p * rates.fnr) + cost.fp_cost * ((1.0 - p) * rates.fpr)
-
-
-def _check_unit_interval(value, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0)):
-        raise ValueError(f"{name} must lie in [0, 1]")
-    return arr
 
 
 def nas(p_pred, p_pos: float):
@@ -157,7 +150,7 @@ def nas(p_pred, p_pos: float):
     Requires 0 < p_pos < 1.  Vectorizes over ``p_pred``.
     """
     _check_prior(p_pos)
-    arr = _check_unit_interval(p_pred, "p_pred")
+    arr = _check_probability(p_pred, "p_pred")
     out = 1.0 - np.abs(arr - p_pos) / max(p_pos, 1.0 - p_pos)
     return out if np.ndim(p_pred) else float(out)
 
@@ -172,7 +165,7 @@ def nas_star(p_pred, p_pos: float):
     0 < p_pos < 1.  Vectorizes over ``p_pred``.
     """
     _check_prior(p_pos)
-    arr = _check_unit_interval(p_pred, "p_pred")
+    arr = _check_probability(p_pred, "p_pred")
     over = np.maximum(arr - p_pos, 0.0) / (1.0 - p_pos)
     under = np.maximum(p_pos - arr, 0.0) / p_pos
     out = 1.0 - over - under
@@ -219,10 +212,8 @@ def q_beta(tpr: float, nas_value: float, beta: float) -> float:
     inputs vanish, matching the limit of the measure at empty predictions.
     """
     b2 = _check_beta(beta)
-    if not (0.0 <= tpr <= 1.0):
-        raise ValueError(f"tpr must lie in [0, 1], got {tpr!r}")
-    if not (0.0 <= nas_value <= 1.0):
-        raise ValueError(f"nas_value must lie in [0, 1], got {nas_value!r}")
+    _check_probability(tpr, "tpr")
+    _check_probability(nas_value, "nas_value")
     return float(_q_formula(tpr, nas_value, b2))
 
 
@@ -233,7 +224,7 @@ def shifted_prevalence(rates: Rates, w):
     priors move; the class-conditional score distributions stay fixed, so
     the classifier keeps its error-rate pair.  Vectorizes over ``w``.
     """
-    arr = _check_unit_interval(w, "w")
+    arr = _check_probability(w, "w")
     out = arr * (rates.tpr - rates.fpr) + rates.fpr
     return out if np.ndim(w) else float(out)
 

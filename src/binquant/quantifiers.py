@@ -41,17 +41,16 @@ from .binormal import (
     ThresholdClassifier,
     _ULPS,
     _cdf_in_z,
+    _check_probability,
     _log_ratio_in_z,
-    _score_at_posterior,
     _tpr_in_z,
     _upper_mass,
-    _z_at_posterior,
+    _z_at_posterior_odds,
     _z_at_upper_mass,
     classifier_rates,
 )
-from .metrics import (CostParams, NasVariant, QConfig, _check_beta, _check_unit_interval,
-                      _f_formula, _q_formula, error_bound, misclassification_cost, nas,
-                      nas_star, shifted_prevalence)
+from .metrics import (CostParams, NasVariant, QConfig, _check_beta, _f_formula, _q_formula,
+                      error_bound, misclassification_cost, nas, nas_star, shifted_prevalence)
 
 __all__ = [
     "DegenerateCostError",
@@ -121,8 +120,7 @@ class QuantificationEstimate:
     ac_clamped: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.cc <= 1.0):
-            raise ValueError(f"cc must lie in [0, 1], got {self.cc!r}")
+        _check_probability(self.cc, "cc")
         if self.ac_clamped != min(max(self.ac, 0.0), 1.0):
             raise ValueError("ac_clamped must equal ac clipped to [0, 1]")
 
@@ -131,9 +129,11 @@ def bayes_classifier(model: BinormalModel, cost: CostParams) -> OptimizedClassif
     """Minimum-expected-cost cut-point.
 
     Predicting positive is cheaper exactly where the posterior exceeds
-    fp_cost / (fn_cost + fp_cost); because the posterior is strictly
-    increasing in the score, that region is a cut-point rule, solved here
-    in closed form.  ``objective_value`` is the expected cost of its rates.
+    fp_cost / (fn_cost + fp_cost), where its odds exceed fp_cost : fn_cost;
+    because the posterior is strictly increasing in the score, that region
+    is a cut-point rule, solved here in closed form from those odds, which
+    keep their accuracy where the cutoff itself rounds to 0 or 1.
+    ``objective_value`` is the expected cost of its rates.
 
     Raises
     ------
@@ -143,25 +143,24 @@ def bayes_classifier(model: BinormalModel, cost: CostParams) -> OptimizedClassif
         free, everything negative when misses are free), which no finite
         cut-point represents.
     """
-    cutoff = cost.posterior_cutoff
-    if cutoff <= 0.0:
+    if cost.fp_cost == 0.0:
         raise DegenerateCostError(
             "all_positive",
             "false alarms cost nothing; predicting all positive is optimal",
         )
-    if cutoff >= 1.0:
+    if cost.fn_cost == 0.0:
         raise DegenerateCostError(
             "all_negative",
             "misses cost nothing; predicting all negative is optimal",
         )
-    classifier = ThresholdClassifier(_score_at_posterior(model, cutoff))
+    z = _z_at_posterior_odds(model, cost.fp_cost, cost.fn_cost)
+    classifier = ThresholdClassifier(model.score(z))
     return _optimized(model, classifier, lambda rates: misclassification_cost(cost, rates, model.p))
 
 
 def threshold_for_positive_mass(model: BinormalModel, u: float) -> ThresholdClassifier:
     """The cut-point whose predicted-positive mass is u, for u in (0, 1)."""
-    if not (0.0 < u < 1.0):
-        raise ValueError(f"predicted-positive mass must lie in (0, 1), got {u!r}")
+    _check_probability(u, "predicted-positive mass", open_interval=True)
     return ThresholdClassifier(float(model.score(_z_at_upper_mass(model, u))))
 
 
@@ -210,7 +209,7 @@ def _nas_of(u, p: float, nas_variant: NasVariant):
 def _tpr_of_mass(model: BinormalModel, u) -> tuple[np.ndarray, np.ndarray]:
     """The checked masses u, at least one-dimensional, and the recall of the mass-u
     cut-points: solved in z inside (0, 1), and exactly 0 at u = 0 and 1 at u = 1."""
-    arr = np.atleast_1d(_check_unit_interval(u, "predicted-positive mass"))
+    arr = np.atleast_1d(_check_probability(u, "predicted-positive mass"))
     tpr = np.where(arr >= 1.0, 1.0, 0.0)
     interior = (arr > 0.0) & (arr < 1.0)
     if interior.any():
@@ -329,7 +328,8 @@ def f_optimal_classifier(model: BinormalModel, beta: float) -> OptimizedClassifi
     lam = _f_formula(p, p, 1.0, b2)
     while True:
         # The first posterior cut is at most p, so that cut flags at least mass p / 2.
-        z_next = _z_at_posterior(model, lam / (1.0 + b2))
+        cut = lam / (1.0 + b2)
+        z_next = _z_at_posterior_odds(model, cut, 1.0 - cut)
         mass = _upper_mass(model, z_next)
         if mass == 0.0:
             break
@@ -355,8 +355,7 @@ def adjusted_count(p1_h: float, rates: Rates) -> QuantificationEstimate:
         If tpr and fpr agree to within 1e-12.  Such a classifier flags
         the same mass under every prior, so the map has no inverse.
     """
-    if not (0.0 <= p1_h <= 1.0):
-        raise ValueError(f"flagged mass must lie in [0, 1], got {p1_h!r}")
+    _check_probability(p1_h, "flagged mass")
     gap = rates.tpr - rates.fpr
     if abs(gap) < _RATE_GAP_MIN:
         raise DegenerateClassifierError(

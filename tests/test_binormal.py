@@ -7,6 +7,7 @@ must reproduce them through its own standardized-frame route.
 
 import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from binquant.binormal import (
     BinormalModel,
+    ModelFieldError,
     Rates,
     ThresholdClassifier,
     classifier_rates,
@@ -90,7 +92,7 @@ class TestStdNormalQuantile:
 
 _QUANTILES = {"std_normal_quantile": std_normal_quantile,
               "mixture_quantile": functools.partial(mixture_quantile, DEFAULT_MODEL)}
-_LEVEL_FAULT = r"^probability level must lie strictly inside \(0, 1\)$"
+_LEVEL_FAULT = r"^probability level must lie in \(0, 1\), got (nan|inf|-inf|0\.0|-0\.0|1\.0)$"
 
 
 @pytest.mark.parametrize("name", _QUANTILES)
@@ -327,6 +329,28 @@ class TestValidation:
         for p in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError):
                 BinormalModel(mu=0.0, nu=2.0, sigma=1.0, p=p)
+
+    def test_model_prior_is_a_normal_float(self):
+        """A subnormal prior once divided by zero in the posterior cut or failed in its log."""
+        smallest = sys.float_info.min
+        for p in (5e-324, 1e-312, smallest * (1.0 - 2.0 ** -52)):
+            fault = f"^positive prior must be a normal float, got {p!r}$"
+            with pytest.raises(ValueError, match=fault):
+                BinormalModel(mu=0.0, nu=2.0, sigma=1.0, p=p)
+        assert BinormalModel(mu=0.0, nu=2.0, sigma=1.0, p=smallest).p == smallest
+
+    @pytest.mark.parametrize("fields, changed", [
+        (("mu", "nu"), {"mu": math.nan}),
+        (("mu", "nu"), {"nu": math.inf}),
+        (("mu", "nu"), {"mu": 2.0}),
+        (("sigma",), {"sigma": 0.0}),
+        (("p",), {"p": 1.0}),
+        (("p",), {"p": 5e-324}),
+    ], ids=repr)
+    def test_model_errors_name_their_fields(self, fields, changed):
+        with pytest.raises(ModelFieldError) as exc:
+            BinormalModel(**{"mu": 0.0, "nu": 2.0, "sigma": 1.0, "p": 0.25, **changed})
+        assert exc.value.fields == fields
 
     def test_classifier_rejects_nonfinite_threshold(self):
         for t in (math.inf, -math.inf, math.nan):

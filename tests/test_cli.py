@@ -794,16 +794,43 @@ class TestFlagSet:
         ["optimize", "--beta", "1e-100", "--p", "1e-300"],
         ["optimize", "--nu", "0.003869", "--p", "2.36e-33", "--beta", "4.67e-149"],
         ["optimize", "--p", "0.9999999999999999", "--beta", "1e-15"],
+        ["optimize", "--p", "1e-300", "--cost-fn", "1", "--cost-fp", "9e15"],
+        ["optimize", "--cost-fn", "1e-16", "--cost-fp", "1"],
+        ["figure-error", "--nu", "0.1", "--p", "2.2250738585072014e-308"],
     ])
     def test_extreme_model_and_beta_run(self, argv, capsys):
         """The F search once divided by zero at a posterior cut of 1 and printed F = nan
         at a cut flagging mass 0; the Q search took the log of beta^2 p after it
-        underflowed to 0, and of 0 where its far mass (p + 1) / 2 rounded to 1."""
+        underflowed to 0, and of 0 where its far mass (p + 1) / 2 rounded to 1.  The
+        Bayes cut's odds ratio overflowed to an infinite threshold, a cost ratio beyond
+        2^53 was taken for a free miss, and the smallest normal prior failed in a log."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(argv) == EXIT_OK
         out, err = capsys.readouterr()
         assert err == "" and "nan" not in out
+
+    @pytest.mark.parametrize("command", ["optimize", "figure-error", "figure-qcurve", "quantify"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--p", "5e-324"], "--p: positive prior must be a normal float, got 5e-324"),
+        (["--p", "1e-312"], "--p: positive prior must be a normal float, got 1e-312"),
+        (["--p", "1"], "--p: positive prior must lie in (0, 1), got 1.0"),
+        (["--mu=1e8", "--nu=1e8", "--sigma", "1e-12"],
+         "--mu/--nu: negative-class mean must lie below positive-class mean, "
+         "got mu=100000000.0, nu=100000000.0"),
+        (["--mu", "nan"], "--mu/--nu: component means must be finite, got mu=nan, nu=2.0"),
+        (["--sigma", "0"], "--sigma: sigma must be positive, got 0.0"),
+    ])
+    def test_model_flag_errors_name_their_flag(self, command, flags, message, sample_files,
+                                               capsys):
+        """A subnormal prior once raised ZeroDivisionError or a math domain error, and a
+        model error named neither the flag nor, for a non-finite mean, the value."""
+        argv = [command]
+        if command == "quantify":
+            argv += [*sample_files, "--rule", "minimax", "--mu", "0", "--nu", "2", "--sigma", "1",
+                     "--p", "0.25"]
+        assert main([*argv, *flags]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("betas", [("3", "5"), ("5", "3"), ("1", "1")])
     def test_repeated_beta_with_figure_error_is_a_usage_error(self, betas, tmp_path, capsys):

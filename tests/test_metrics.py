@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from binquant.binormal import BinormalModel, Rates
-from binquant.discrete_oracle import DiscretePopulation, brute_force_fbeta_max
+from binquant.discrete_oracle import DiscretePopulation, brute_force_fbeta_max, check_population
 from binquant.metrics import (
     ConfusionProbs,
     CostParams,
@@ -21,7 +21,7 @@ from binquant.metrics import (
     q_beta,
     shifted_prevalence,
 )
-from binquant.quantifiers import f_optimal_classifier
+from binquant.quantifiers import adjusted_count, f_optimal_classifier, threshold_for_positive_mass
 
 # Balanced error level of the midpoint cut under the default model,
 # 1 - Phi(1); doubles as the sharp error bound for those rates.
@@ -333,3 +333,27 @@ class TestErrorBound:
             rates = Rates(tpr=rng.uniform(0, 1), fpr=rng.uniform(0, 1))
             attained = max(prediction_error(rates, 0.0), prediction_error(rates, 1.0))
             np.testing.assert_allclose(attained, error_bound(rates), atol=1e-15)
+
+
+_POPULATION = DiscretePopulation(atoms=((0.30, 0.05), (0.10, 0.15), (0.10, 0.30)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Rates(tpr=1.2, fpr=0.0), "tpr must lie in [0, 1], got 1.2"),
+    (lambda: q_beta(0.5, -1e-300, 1.0), "nas_value must lie in [0, 1], got -1e-300"),
+    (lambda: shifted_prevalence(MINIMAX_RATES, np.array([0.5, 1.5, -1.0])),
+     "w must lie in [0, 1], got 1.5"),
+    (lambda: nas(np.array([[0.2, 0.3], [math.nan, 2.0]]), 0.25),
+     "p_pred must lie in [0, 1], got nan"),
+    (lambda: adjusted_count(math.inf, MINIMAX_RATES), "flagged mass must lie in [0, 1], got inf"),
+    (lambda: threshold_for_positive_mass(BinormalModel(0.0, 2.0, 1.0, 0.25), 1.0),
+     "predicted-positive mass must lie in (0, 1), got 1.0"),
+    (lambda: check_population(_POPULATION, cost=CostParams(1.0, 1.0), cut_levels=(0.3, math.nan)),
+     "cut level must lie in [0, 1], got nan"),
+    (lambda: BinormalModel(0.0, 2.0, 1.0, -0.0), "positive prior must lie in (0, 1), got -0.0"),
+])
+def test_probability_ranges_share_one_message(call, message):
+    """Every probability-range check names its quantity and the first value out of range."""
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -8,8 +8,10 @@ this file.
 
 import math
 import pickle
+import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -93,6 +95,27 @@ class TestBayesClassifier:
         low = bayes_classifier(DEFAULT_MODEL, CostParams(fn_cost=4.0, fp_cost=1.0))
         high = bayes_classifier(DEFAULT_MODEL, CostParams(fn_cost=1.0, fp_cost=4.0))
         assert low.classifier.threshold < high.classifier.threshold
+
+    @pytest.mark.parametrize("p, fn, fp", [
+        (1e-300, 1.0, 9e15),
+        (0.25, 1e-16, 1.0),
+        (0.25, 1e150, 1e-150),
+        (sys.float_info.min, 1.0, 1.0),
+        (1.0 - 2.0 ** -53, 1e-150, 1e150),
+    ])
+    def test_cut_at_extreme_priors_and_costs(self, p, fn, fp):
+        """The cut lies at z = d / 2 + (log(fp / fn) - logit p) / d.  Its odds ratio once
+        overflowed, or its denominator underflowed, and a cost ratio beyond 2^53 rounded
+        the posterior cutoff to 1, which was taken for free misses."""
+        with mpmath.workdps(40):
+            p_mp = mpmath.mpf(p)
+            z = 1 + (mpmath.log(mpmath.mpf(fp) / fn) - mpmath.log(p_mp / (1 - p_mp))) / 2
+            expected = float(z)
+        model = BinormalModel(mu=0.0, nu=2.0, sigma=1.0, p=p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            threshold = bayes_classifier(model, CostParams(fn, fp)).classifier.threshold
+        assert threshold == pytest.approx(expected, rel=1e-14)
 
 
 class TestThresholdForPositiveMass:
