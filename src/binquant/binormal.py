@@ -110,7 +110,8 @@ class BinormalModel:
     Raises
     ------
     ModelFieldError
-        If a field lies outside its domain.
+        If a field lies outside its domain, or the separation
+        ``d = (nu - mu) / sigma`` is not a finite normal float.
     """
 
     mu: float
@@ -130,6 +131,12 @@ class BinormalModel:
                 ("mu", "nu"),
                 f"negative-class mean must lie below positive-class mean, "
                 f"got mu={self.mu!r}, nu={self.nu!r}",
+            )
+        if not sys.float_info.min <= self.d < math.inf:
+            raise ModelFieldError(
+                ("mu", "nu", "sigma"),
+                f"separation (nu - mu) / sigma must be a finite normal float, got {self.d!r} "
+                f"from mu={self.mu!r}, nu={self.nu!r}, sigma={self.sigma!r}",
             )
         try:
             _check_prior(self.p)

@@ -42,6 +42,7 @@ from .empirical import (
 )
 from .metrics import CostParams, NasVariant, QConfig, _check_beta, prediction_error
 from .quantifiers import (
+    DegenerateCostError,
     _q_measures_of_mass,
     bayes_classifier,
     f_optimal_classifier,
@@ -63,7 +64,8 @@ _BETAS_HELP = "measure weight, repeatable (default 1 and 2)"
 
 # quantify reads its target in a forked child only from this size on.  The fork costs
 # about 6 ms whatever the size, and on a 2-vCPU host forking and reading in process
-# break even for files of 190-310 KiB next to a train file of the same length.
+# break even for targets of 256-350 KiB next to a train file of the same length, each
+# file converted whole by numpy (medians of 41-61 alternating pairs per size).
 _FORK_MIN_BYTES = 1 << 18
 
 # The named cut-point rules in --rule order, each with its figure-error column and its
@@ -175,8 +177,13 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     betas, model, nas_variant = _betas(args, (1.0, 2.0)), _model(args), NasVariant(args.nas)
     try:
         cost = CostParams(fn_cost=args.cost_fn, fp_cost=args.cost_fp)
+    except ValueError as exc:
+        raise _UsageError(f"--cost-fn/--cost-fp: {exc}") from exc
+    try:
         bayes = bayes_classifier(model, cost)
-    except ValueError as exc:  # degenerate or invalid costs have no cut-point
+    except DegenerateCostError as exc:  # a free miss or false alarm has no cut-point
+        raise _UsageError(f"--cost-fn/--cost-fp: {exc}") from exc
+    except ValueError as exc:  # a cut-point beyond the float range, set by model and costs
         raise _UsageError(f"cannot build the cost-optimal classifier: {exc}") from exc
 
     solvers = {"q_optimal": lambda b: q_optimal_classifier(model, QConfig(b, nas_variant)),
@@ -292,7 +299,7 @@ def _cmd_quantify(args: argparse.Namespace) -> int:
         try:
             classifier = ThresholdClassifier(args.threshold)
         except ValueError as exc:
-            raise _UsageError(str(exc)) from exc
+            raise _UsageError(f"--threshold: {exc}") from exc
     elif all(given):
         model = _model(args)
     elif any(given):

@@ -22,6 +22,12 @@ are rejected), a label an ASCII integer, so ``+1``, `` -1`` and ``01``
 are labels; ``1_0`` and non-ASCII digits are invalid.  The first faulty
 line raises ``CsvFormatError`` naming the file, the line and the token.
 A byte that is not UTF-8 counts as a fault of its line.
+
+One numpy call converts every line below the header of a regular file,
+reading the file by its path.  A stream such as a pipe, and a file with
+``#`` or whitespace-only lines below its header or a fault, are read a
+chunk of lines at a time through a line filter, which skips what the
+format skips and names the first faulty line.
 """
 
 from __future__ import annotations
@@ -228,12 +234,17 @@ _WRITE_ROWS = 1 << 14  # the writer hands its target this many lines per write c
 _FIELDS = {"score": ("f8", "f8", np.isfinite, "non-finite score"),
            "label": ("i1", "i8", _is_label, "label must be -1 or 1, got")}
 _loadtxt = functools.partial(np.loadtxt, delimiter=",", comments=None, ndmin=1)
+# np.loadtxt opens a path with one of these endings through a decompressor and fetches a
+# path with a URL scheme, so the line filter reads such a file as the text it holds.
+_NUMPY_OPENS_OTHERWISE = (".gz", ".bz2", ".xz", ".lzma")
 
 
-def _sound_rows(lines: list[str], dtype: np.dtype) -> np.ndarray | None:
-    """The lines converted by numpy, or None if one fails to convert or a value its test."""
+def _sound_rows(source, dtype: np.dtype, **options) -> np.ndarray | None:
+    """The rows numpy converts from ``source``, a list of lines or a path read with
+    ``options``, or None if one fails to convert (a byte that is not UTF-8 included) or a
+    value its test."""
     try:
-        rows = _loadtxt(lines, dtype=dtype)
+        rows = _loadtxt(source, dtype=dtype, **options)
     except ValueError:
         return None
     return rows if all(_FIELDS[name][2](rows[name]).all() for name in dtype.names) else None
@@ -275,9 +286,37 @@ def _line_fault(raw: str, names: list[str]) -> str:
             return f"{fault} {token!r}"
 
 
+def _whole_body(handle, path: str, header: str, dtype: np.dtype) -> np.ndarray | None:
+    """The rows after the header of the seekable file open as ``handle``, converted by
+    one numpy call that reads the file again by its path, or None if the line filter
+    must read it from the start.  Python reads the lines up to the header as the filter
+    does: it strips them, skips blank lines and ``#`` comments and checks the header,
+    leaving any fault for the filter to name.  numpy then skips those lines and converts
+    the rest.  A comment or a whitespace-only line below the header, a faulty line and
+    a byte that is not UTF-8, in a line up to the header too, all fail that call.  A
+    body of empty lines alone never reaches numpy, which would warn that it holds no
+    data."""
+    head = 0
+    while raw := handle.readline():
+        head += 1
+        line = raw.strip()
+        if line and line[0] != "#":
+            break
+    if not raw or line != header:
+        return None
+    while (raw := handle.readline()).isspace():
+        pass
+    if not raw:
+        return None
+    handle.seek(0)  # numpy reads from the start even where its open shares this offset
+    return _sound_rows(path, dtype, skiprows=head, encoding="utf-8-sig")
+
+
 def _data_rows(path: str, header: str) -> np.ndarray:
-    """Every data row after ``header``, with a field per header name.  The file is read
-    a chunk of lines at a time.  Once the header is seen, numpy converts each chunk as
+    """Every data row after ``header``, with a field per header name.  The lines below
+    the header of a seekable file go to numpy whole, through ``_whole_body``.  A stream,
+    such as a pipe, or a file that one call cannot convert is read from the start a
+    chunk of lines at a time.  Once the header is seen, numpy converts each chunk as
     read, field count included.  Python filters a chunk only when numpy rejects it or
     the header is still to come: it strips the lines, skips blank lines and ``#``
     comments, checks the header and hands the rest to numpy.  Comments, whitespace-only
@@ -288,8 +327,12 @@ def _data_rows(path: str, header: str) -> np.ndarray:
     ``CsvFormatError``."""
     names = header.split(",")
     dtype = np.dtype([(name, _FIELDS[name][0]) for name in names])
-    lineno, header_seen, parts = 1, False, []
     with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
+        if handle.seekable() and not ("://" in path or path.endswith(_NUMPY_OPENS_OTHERWISE)):
+            if (rows := _whole_body(handle, path, header, dtype)) is not None:
+                return rows
+            handle.seek(0)
+        lineno, header_seen, parts = 1, False, []
         # readlines splits only on "\n" after newline translation; str.splitlines
         # would also split on "\x0c", "\x1c" or "\x85" inside a line.  A chunk of
         # empty lines alone goes to the filter, as numpy warns on input with no rows.

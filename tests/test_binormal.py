@@ -346,11 +346,28 @@ class TestValidation:
         (("sigma",), {"sigma": 0.0}),
         (("p",), {"p": 1.0}),
         (("p",), {"p": 5e-324}),
+        (("mu", "nu", "sigma"), {"nu": 1e-300, "sigma": 1e300}),
+        (("mu", "nu", "sigma"), {"nu": 1e-310}),
+        (("mu", "nu", "sigma"), {"nu": 1e300, "sigma": 1e-300}),
+        (("mu", "nu", "sigma"), {"mu": -1e308, "nu": 1e308}),
     ], ids=repr)
     def test_model_errors_name_their_fields(self, fields, changed):
         with pytest.raises(ModelFieldError) as exc:
             BinormalModel(**{"mu": 0.0, "nu": 2.0, "sigma": 1.0, "p": 0.25, **changed})
         assert exc.value.fields == fields
+
+    def test_separation_is_a_finite_normal_float(self):
+        """A separation d that underflowed to 0 once divided by zero in the Bayes cut, and
+        an infinite one gave that cut an infinite threshold."""
+        smallest = sys.float_info.min
+        assert BinormalModel(mu=0.0, nu=smallest, sigma=1.0, p=0.25).d == smallest
+        assert BinormalModel(mu=0.0, nu=1e300, sigma=1e-8, p=0.25).d == 1e308
+        for nu, sigma, d in ((math.nextafter(smallest, 0.0), 1.0, "2.225073858507201e-308"),
+                             (1e300, 1e-9, "inf")):
+            with pytest.raises(ModelFieldError) as exc:
+                BinormalModel(mu=0.0, nu=nu, sigma=sigma, p=0.25)
+            assert str(exc.value) == (f"separation (nu - mu) / sigma must be a finite normal "
+                                      f"float, got {d} from mu=0.0, nu={nu!r}, sigma={sigma!r}")
 
     def test_classifier_rejects_nonfinite_threshold(self):
         for t in (math.inf, -math.inf, math.nan):

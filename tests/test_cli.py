@@ -820,16 +820,38 @@ class TestFlagSet:
          "got mu=100000000.0, nu=100000000.0"),
         (["--mu", "nan"], "--mu/--nu: component means must be finite, got mu=nan, nu=2.0"),
         (["--sigma", "0"], "--sigma: sigma must be positive, got 0.0"),
+        (["--nu", "1e-300", "--sigma", "1e300"],
+         "--mu/--nu/--sigma: separation (nu - mu) / sigma must be a finite normal float, "
+         "got 0.0 from mu=0.0, nu=1e-300, sigma=1e+300"),
+        (["--nu", "1e300", "--sigma", "1e-300"],
+         "--mu/--nu/--sigma: separation (nu - mu) / sigma must be a finite normal float, "
+         "got inf from mu=0.0, nu=1e+300, sigma=1e-300"),
     ])
     def test_model_flag_errors_name_their_flag(self, command, flags, message, sample_files,
                                                capsys):
         """A subnormal prior once raised ZeroDivisionError or a math domain error, and a
-        model error named neither the flag nor, for a non-finite mean, the value."""
+        model error named neither the flag nor, for a non-finite mean, the value.  A
+        separation that underflowed to 0 once raised ZeroDivisionError in the Bayes cut,
+        and an infinite one was reported as a fault of the cost-optimal classifier."""
         argv = [command]
         if command == "quantify":
             argv += [*sample_files, "--rule", "minimax", "--mu", "0", "--nu", "2", "--sigma", "1",
                      "--p", "0.25"]
         assert main([*argv, *flags]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["optimize", "--cost-fn", "nan"], "--cost-fn/--cost-fp: costs must be finite"),
+        (["optimize", "--cost-fn", "0", "--cost-fp", "1"],
+         "--cost-fn/--cost-fp: misses cost nothing; predicting all negative is optimal"),
+        (["quantify", "--threshold", "inf"], "--threshold: threshold must be finite, got inf"),
+    ])
+    def test_cost_and_threshold_errors_name_their_flag(self, argv, message, sample_files,
+                                                       capsys):
+        """Such errors once named no flag."""
+        if argv[0] == "quantify":
+            argv = [argv[0], *sample_files, *argv[1:]]
+        assert main(argv) == EXIT_USAGE
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("betas", [("3", "5"), ("5", "3"), ("1", "1")])

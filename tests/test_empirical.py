@@ -8,6 +8,7 @@ is deterministic.
 import math
 import os
 import pickle
+import threading
 import warnings
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from binquant import empirical
 from binquant.binormal import BinormalModel, ThresholdClassifier, classifier_rates
 from binquant.empirical import (
     NEGATIVE_LABEL,
@@ -666,6 +668,132 @@ class TestRawChunks:
             sample = read_labeled_csv(str(path))
         assert np.array_equal(sample.scores(), [0.123456789012345] * 999 + [-0.5])
         assert np.array_equal(sample.labels(), [1] * 999 + [-1])
+
+
+# Files that probe where numpy's read of a whole file by its path could part from the line
+# filter's read: line endings, lines the filter skips, faulty lines and a bad byte late.
+_EDGE_CORPUS = {
+    "bom-crlf": (b"\xef\xbb\xbfscore,label\r\n0.5,1\r\n-0.25,-1\r\n", read_labeled_csv),
+    "bom-crlf-comment": (b"\xef\xbb\xbf# c\r\nscore\r\n0.5\r\n# mid\r\n0.75\r\n", read_score_csv),
+    "lone-cr": (b"score\r0.5\r1e-3\r\r-2\r", read_score_csv),
+    "leading-comments": (b"# one\n\n  # two\nscore,label\n0.5,1\n1.5,-1\n", read_labeled_csv),
+    "bad-byte-in-a-leading-comment": (b"# caf\xe9\nscore\n0.5\n", read_score_csv),
+    "blank-lines-mid-file": (b"score\n0.5\n\n\n0.75\n\n", read_score_csv),
+    "whitespace-only-line-mid-file": (b"score\n0.5\n \t \n0.75\n", read_score_csv),
+    "comment-mid-file": (b"score,label\n0.5,1\n# note\n0.75,-1\n", read_labeled_csv),
+    "hash-in-a-field": (b"score,label\n0.5,1#x\n", read_labeled_csv),
+    "label-300": (b"score,label\n0.5,1\n0.5,300\n", read_labeled_csv),
+    "nan": (b"score\n0.5\nnan\n", read_score_csv),
+    "three-fields": (b"score,label\n0.5,1\n0.5,1,1\n", read_labeled_csv),
+    "padded-fields": (b"score,label\n  0.5 , 1 \n\t-2\t,\t-1\n", read_labeled_csv),
+    "form-feed-inside-a-line": (b"score,label\n1.0,1\x0c2.0,1\n", read_labeled_csv),
+    "bad-byte-on-line-400002": (b"score\n" + b"0.5\n" * 400_000 + b"0.8 \xff9\n", read_score_csv),
+    "empty-body": (b"score,label\n\n\n", read_labeled_csv),
+}
+
+
+def _read_outcome(reader, path: str):
+    """The bits of what ``reader`` reads from ``path``, or its error text, with every
+    warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            sample = reader(path)
+        except CsvFormatError as exc:
+            return str(exc)
+    if isinstance(sample, LabeledSample):
+        return sample.scores().tobytes() + sample.labels().tobytes()
+    return sample.scores.tobytes()
+
+
+@pytest.fixture
+def numpy_sources(monkeypatch):
+    """What each numpy conversion of the readers is handed: a path, or a list of lines."""
+    sources = []
+    loadtxt = empirical._loadtxt
+
+    def spy(source, **options):
+        sources.append(source)
+        return loadtxt(source, **options)
+    monkeypatch.setattr(empirical, "_loadtxt", spy)
+    return sources
+
+
+class TestWholeFileRead:
+    """numpy converts the lines below the header of a seekable file in one call that reads
+    the file by its path.  A stream, a file whose lines below the header that call cannot
+    convert, and a name numpy would not open as plain text are read by the line filter,
+    with the same bits or the same error text."""
+
+    @pytest.mark.parametrize("name", _EDGE_CORPUS)
+    def test_edge_files_read_as_the_line_filter_reads_them(self, name, tmp_path, monkeypatch):
+        data, reader = _EDGE_CORPUS[name]
+        path = tmp_path / "data.csv"
+        path.write_bytes(data)
+        whole = _read_outcome(reader, str(path))
+        monkeypatch.setattr(empirical, "_whole_body", lambda *args: None)
+        assert whole == _read_outcome(reader, str(path))
+
+    def test_clean_file_is_converted_by_one_numpy_call(self, tmp_path, numpy_sources):
+        path = str(tmp_path / "data.csv")
+        sample = sample_binormal(DEFAULT_MODEL, 50_000, seed=3)
+        write_labeled_csv(sample, path, comment="clean")
+        back = read_labeled_csv(path)
+        assert numpy_sources == [path]
+        assert np.array_equal(back.scores().view(np.uint64), sample.scores().view(np.uint64))
+        assert np.array_equal(back.labels(), sample.labels())
+
+    @staticmethod
+    def _clean_and_noisy(tmp_path) -> tuple[str, str, np.ndarray]:
+        scores = sample_binormal(DEFAULT_MODEL, 20_000, seed=4).scores()
+        clean, noisy = str(tmp_path / "clean.csv"), tmp_path / "noisy.csv"
+        write_score_csv(ScoreSample(scores=scores), clean)
+        lines = Path(clean).read_text().splitlines()
+        lines.insert(10_000, "# a note below the header")
+        noisy.write_text("\n".join(lines) + "\n")
+        return clean, str(noisy), scores
+
+    def test_comment_below_the_header_reads_to_the_same_bits(self, tmp_path, numpy_sources):
+        clean, noisy, scores = self._clean_and_noisy(tmp_path)
+        for path in (clean, noisy):
+            assert np.array_equal(read_score_csv(path).scores.view(np.uint64),
+                                  scores.view(np.uint64))
+        assert numpy_sources[:2] == [clean, noisy]  # the noisy file's call fails,
+        assert all(isinstance(source, list) for source in numpy_sources[2:])  # the filter reads
+
+    def test_pipe_reads_to_the_same_bits(self, tmp_path, numpy_sources):
+        clean, _, scores = self._clean_and_noisy(tmp_path)
+        read_end, write_end = os.pipe()
+
+        def write():  # the file is larger than the pipe holds
+            with open(write_end, "wb") as pipe:
+                pipe.write(Path(clean).read_bytes())
+        writer = threading.Thread(target=write)
+        writer.start()
+        try:
+            back = read_score_csv(f"/dev/fd/{read_end}")
+        finally:
+            writer.join()
+            os.close(read_end)
+        assert np.array_equal(back.scores.view(np.uint64), scores.view(np.uint64))
+        assert numpy_sources and all(isinstance(source, list) for source in numpy_sources)
+
+    @pytest.mark.parametrize("name", ["data.csv.gz", "data.bz2", "data.xz", "data.lzma",
+                                      "http://host/data.csv"])
+    def test_names_numpy_would_unpack_or_fetch_are_read_as_text(self, name, tmp_path,
+                                                               monkeypatch):
+        """np.loadtxt opens a path with such a name through a decompressor or as a URL,
+        so it is never handed one."""
+        loadtxt = empirical._loadtxt
+
+        def lines_only(source, **options):
+            assert not isinstance(source, str), f"numpy was handed the path {source!r}"
+            return loadtxt(source, **options)
+        monkeypatch.setattr(empirical, "_loadtxt", lines_only)
+        monkeypatch.chdir(tmp_path)
+        Path(name).parent.mkdir(parents=True, exist_ok=True)
+        Path(name).write_text("score\n0.5\n-1.5\n")
+        assert np.array_equal(read_score_csv(name).scores, [0.5, -1.5])
 
 
 class TestStrictNumberSyntax:
