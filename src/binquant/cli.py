@@ -9,9 +9,11 @@ Subcommands::
     oracle          randomized enumeration checks on discrete populations
 
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable, unwritable
-or malformed files, degenerate rates), 3 oracle violation.  Every command
-is deterministic given its flags; CSV artifacts start with a ``#`` comment
-recording the parameters that produced them.
+or malformed files, degenerate rates, an arithmetic fault), 3 oracle
+violation.  Every command is deterministic given its flags; CSV artifacts
+start with a ``#`` comment recording the parameters that produced them.
+A negative value in e-notation needs the ``=`` form: ``--mu=-1e-3``, not
+``--mu -1e-3``, which is read as an option.
 """
 
 from __future__ import annotations
@@ -184,7 +186,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     except DegenerateCostError as exc:  # a free miss or false alarm has no cut-point
         raise _UsageError(f"--cost-fn/--cost-fp: {exc}") from exc
     except ValueError as exc:  # a cut-point beyond the float range, set by model and costs
-        raise _UsageError(f"cannot build the cost-optimal classifier: {exc}") from exc
+        raise _UsageError("--mu/--nu/--sigma/--p/--cost-fn/--cost-fp: "
+                          f"cannot build the cost-optimal classifier: {exc}") from exc
 
     solvers = {"q_optimal": lambda b: q_optimal_classifier(model, QConfig(b, nas_variant)),
                "f_optimal": lambda b: f_optimal_classifier(model, b)}
@@ -433,7 +436,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     # ValueError includes CsvFormatError and DegenerateClassifierError; OSError
     # covers unreadable inputs and unwritable --out paths, and names the path.
-    except (ValueError, OSError) as exc:
+    # ArithmeticError is a stray overflow or division fault: a message, not a traceback.
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

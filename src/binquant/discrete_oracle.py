@@ -16,8 +16,8 @@ turns three optimality statements into machine-checkable facts:
 Enumeration is vectorized over bit masks: subset index sets are encoded
 as integers, with bit i meaning atom i is included.  The positive and
 negative mass of every subset are streamed in slices of ``_BLOCK``
-consecutive masks: the table of the low 15 atoms is built once by
-doubling, and each deeper slice is its parent slice plus one more atom,
+consecutive masks: the table of the low ``_LOW_ATOMS`` atoms is built once
+by doubling, and each deeper slice is its parent slice plus one more atom,
 the doubling build's own recurrence, so every mass keeps its bits.  One
 pass per population, ``check_population``, reduces each slice while it is
 in cache for every check at once and also returns the verdicts; no
@@ -56,8 +56,8 @@ MAX_ATOMS = 20
 
 _MASS_SUM_TOL = 1e-12
 _VERDICT_TOL = 1e-12
-_LOW_ATOMS = 15
-_BLOCK = 1 << _LOW_ATOMS  # masks per slice: 256 KiB per float64 temporary
+_LOW_ATOMS = 14
+_BLOCK = 1 << _LOW_ATOMS  # masks per slice: 8 * _BLOCK bytes per float64 temporary, L2-sized
 
 
 @dataclass(frozen=True)
@@ -142,8 +142,8 @@ class DiscretePopulation:
 
     @cached_property
     def _low_masses(self) -> tuple[np.ndarray, np.ndarray]:
-        """Positive and negative mass of every subset of the low 15 atoms (of all
-        atoms when n <= 15), indexed by bit mask.
+        """Positive and negative mass of every subset of the low ``_LOW_ATOMS``
+        atoms (of all atoms when there are no more), indexed by bit mask.
 
         Built by doubling: the masks with top bit i are the masks below 2^i
         plus atom i, so every mass is summed from 0.0 in atom order.  It is
@@ -197,7 +197,7 @@ def _posterior_cut(posteriors: tuple[float, ...], level: float, strict: bool = T
 
 def _slices(population: DiscretePopulation):
     """Yield (first mask, positive masses, negative masses) for each slice of
-    ``_BLOCK`` consecutive masks, or of all 2^n masks when n <= 15.
+    ``_BLOCK`` consecutive masks, or of all 2^n masks when n <= ``_LOW_ATOMS``.
 
     The first slice is ``_low_masses``.  Each deeper slice is its parent, the
     slice without its top atom, plus that atom, which is the doubling
@@ -249,22 +249,15 @@ def subset_confusion(population: DiscretePopulation, classifier: SubsetClassifie
     )
 
 
-def _subset_costs(cost: CostParams, prevalence: float, pos, neg, out=(None, None)):
+def _subset_costs(cost: CostParams, prevalence: float, pos, neg):
     """Expected cost fn_cost (P[A] - pos) + fp_cost neg of predicting positive on
-    subsets with these masses; vectorizes.  ``out``, two arrays shaped like the
-    masses, takes the result (in the first) and its fp term."""
-    total, fp_term = out
-    fn_term = np.multiply(np.subtract(prevalence, pos, out=total), cost.fn_cost, out=total)
-    return np.add(fn_term, np.multiply(neg, cost.fp_cost, out=fp_term), out=total)
+    subsets with these masses; vectorizes."""
+    return cost.fn_cost * (prevalence - pos) + cost.fp_cost * neg
 
 
-def _worst_error(prevalence: float, pos, neg, out=(None, None)):
-    """max(fpr, fnr) of subsets with these masses; vectorizes.  ``out``, two
-    arrays shaped like the masses, takes the result (in the first) and fnr."""
-    worst, fnr = out
-    fpr = np.divide(neg, 1.0 - prevalence, out=worst)
-    fnr = np.subtract(1.0, np.divide(pos, prevalence, out=fnr), out=fnr)
-    return np.maximum(fpr, fnr, out=worst)
+def _worst_error(prevalence: float, pos, neg):
+    """max(fpr, fnr) of subsets with these masses; vectorizes."""
+    return np.maximum(neg / (1.0 - prevalence), 1.0 - pos / prevalence)
 
 
 @dataclass(frozen=True)
@@ -345,26 +338,22 @@ def check_population(
     for level, mask, pos, neg in zip(cut_levels, cut_masks.tolist(),
                                      *_masses_at(population, cut_masks)):
         if level < ratio:
-            constraint, outside = "mass_at_least", np.less
+            constraint, eligible = "mass_at_least", np.greater_equal
         elif level > ratio:
-            constraint, outside = "mass_at_most", np.greater
+            constraint, eligible = "mass_at_most", np.less_equal
         else:
-            constraint, outside = "all", None
+            constraint, eligible = "all", None
         cuts.append((level, mask, float(pos + neg),
-                     float(_subset_costs(cost, prevalence, pos, neg)), constraint, outside))
+                     float(_subset_costs(cost, prevalence, pos, neg)), constraint, eligible))
 
     f_best = [-math.inf] * len(b2s)
     f_tied: list[list[int]] = [[] for _ in b2s]
     best_costs = [math.inf] * len(cuts)
     brute_value, brute_mask = math.inf, 0
-    # Slice-sized work arrays, reused: a fresh temporary of this size costs more
-    # in page faults than the arithmetic that fills it.
-    predicted, costs, work, spare = np.empty((4, min(1 << n, _BLOCK)))
-    excluded = np.empty(predicted.shape, dtype=bool)
     for start, pos, neg in _slices(population):
-        np.add(pos, neg, out=predicted)
+        predicted = pos + neg
         for k, b2 in enumerate(b2s):
-            values = _f_formula(pos, prevalence, predicted, b2, out=(work, spare))
+            values = _f_formula(pos, prevalence, predicted, b2)
             block_max = float(values.max())
             if block_max < f_best[k]:
                 continue
@@ -372,20 +361,18 @@ def check_population(
                 f_best[k], f_tied[k] = block_max, []
             f_tied[k] += (start + np.flatnonzero(values == block_max)).tolist()
         if cuts:
-            least = float(_subset_costs(cost, prevalence, pos, neg, out=(costs, work)).min())
-        for k, (_, _, cut_mass, _, _, outside) in enumerate(cuts):
+            costs = _subset_costs(cost, prevalence, pos, neg)
+            least = float(costs.min())
+        for k, (_, _, cut_mass, _, _, eligible) in enumerate(cuts):
             if least >= best_costs[k]:
                 continue  # no subset of this slice, eligible or not, costs less
-            if outside is None:
+            if eligible is None:
                 best_costs[k] = least
-                continue
-            # Excluded subsets get +inf and the rest -inf, so the maximum with the
-            # costs masks them with no branch on each subset.
-            np.subtract(outside(predicted, cut_mass, out=excluded), 0.5, out=work)
-            np.multiply(work, math.inf, out=work)
-            best_costs[k] = min(best_costs[k], float(np.maximum(costs, work, out=work).min()))
+            else:
+                best_costs[k] = min(best_costs[k], float(
+                    costs[eligible(predicted, cut_mass)].min(initial=math.inf)))
         if minimax:
-            values = _worst_error(prevalence, pos, neg, out=(work, spare))
+            values = _worst_error(prevalence, pos, neg)
             best = int(values.argmin())
             # The first subset in mask order wins ties, and the slices come out of mask order.
             if values[best] < brute_value or (values[best] == brute_value

@@ -172,17 +172,9 @@ def nas_star(p_pred, p_pos: float):
     return out if np.ndim(p_pred) else float(out)
 
 
-def _f_formula(p_pos_and_pred, p_pos, p_pred, b2: float, out=None):
-    """F measure (1 + b2) p_pos_and_pred / (b2 p_pos + p_pred) from its cells; vectorizes.
-
-    ``out``, two float arrays shaped like the cell arrays, takes the measure (in
-    the first) and its denominator, with the same bits and no other temporary.
-    """
-    if out is None:
-        return (1.0 + b2) * p_pos_and_pred / (b2 * p_pos + p_pred)
-    value, denominator = out
-    np.multiply(p_pos_and_pred, 1.0 + b2, out=value)
-    return np.divide(value, np.add(p_pred, b2 * p_pos, out=denominator), out=value)
+def _f_formula(p_pos_and_pred, p_pos, p_pred, b2: float):
+    """F measure (1 + b2) p_pos_and_pred / (b2 p_pos + p_pred) from its cells; vectorizes."""
+    return (1.0 + b2) * p_pos_and_pred / (b2 * p_pos + p_pred)
 
 
 def _q_formula(tpr, nas_value, b2: float):

@@ -461,6 +461,14 @@ class TestOracle:
         assert main(["oracle", "--max-atoms", "21"]) == EXIT_USAGE
         assert main(["oracle", "--max-atoms", "1"]) == EXIT_USAGE
 
+    def test_stray_arithmetic_error_is_a_data_error(self, monkeypatch, capsys):
+        def overflow(rng, n_atoms, tied=False):
+            raise OverflowError("result too large")
+
+        monkeypatch.setattr(cli, "random_population", overflow)
+        assert main(["oracle", "--trials", "1"]) == EXIT_DATA
+        assert capsys.readouterr() == ("", "error: result too large\n")
+
     def test_population_failure_is_a_data_error(self, monkeypatch, capsys):
         def give_up(rng, n_atoms, tied=False):
             raise RuntimeError("could not separate atom posteriors")
@@ -751,6 +759,10 @@ class TestFileErrors:
         assert err.startswith(f"error: {bad}:3: ") and "utf-8" in err
 
 
+_BAYES_BEYOND_FLOATS = ("--mu/--nu/--sigma/--p/--cost-fn/--cost-fp: cannot build the "
+                        "cost-optimal classifier: threshold must be finite, got inf")
+
+
 class TestFlagSet:
     @pytest.mark.parametrize("command", ["figure-qcurve", "optimize", "quantify", "oracle"])
     @pytest.mark.parametrize("beta", ["inf", "nan"])
@@ -845,10 +857,12 @@ class TestFlagSet:
         (["optimize", "--cost-fn", "0", "--cost-fp", "1"],
          "--cost-fn/--cost-fp: misses cost nothing; predicting all negative is optimal"),
         (["quantify", "--threshold", "inf"], "--threshold: threshold must be finite, got inf"),
+        (["optimize", "--nu=1e280", "--sigma=1e300"], _BAYES_BEYOND_FLOATS),
+        (["optimize", "--nu", "2.2250738585072014e-308", "--p", "1e-300"], _BAYES_BEYOND_FLOATS),
     ])
     def test_cost_and_threshold_errors_name_their_flag(self, argv, message, sample_files,
                                                        capsys):
-        """Such errors once named no flag."""
+        """Such errors once named no flag, among them a Bayes cut beyond the float range."""
         if argv[0] == "quantify":
             argv = [argv[0], *sample_files, *argv[1:]]
         assert main(argv) == EXIT_USAGE

@@ -85,6 +85,10 @@ class TestDiscretePopulation:
         with pytest.raises(ValueError):
             DiscretePopulation(atoms=atoms)
 
+    def test_rejects_no_atoms(self):
+        with pytest.raises(ValueError, match="^population needs at least one atom$"):
+            DiscretePopulation(atoms=())
+
 
 class TestSubsetConfusion:
     def test_hand_values(self):
@@ -115,6 +119,10 @@ class TestSubsetConfusion:
     def test_rejects_out_of_range_index(self):
         with pytest.raises(ValueError):
             subset_confusion(POP_MINIMAX_EQUAL, SubsetClassifier(frozenset({3})))
+
+    def test_rejects_negative_index(self):
+        with pytest.raises(ValueError, match="^atom indices must be nonnegative$"):
+            SubsetClassifier(frozenset({-1}))
 
 
 class TestFbetaEnumeration:
@@ -231,6 +239,20 @@ class TestRandomPopulation:
             ordered = np.sort(pop.posteriors)
             assert float(np.min(np.diff(ordered))) >= 1e-6
 
+    def test_colliding_posteriors_are_nudged_apart(self):
+        """Seed 1320 draws 20 atoms of which two share a posterior.  The nudge moves
+        them at least 1e-6 apart, and the nudged population passes every check."""
+        counts = np.random.default_rng(1320).integers(1, 1001, size=(20, 2)).astype(float)
+        masses = counts / counts.sum()
+        drawn = masses[:, 0] / masses.sum(axis=1)
+        assert float(np.min(np.diff(np.sort(drawn)))) == 0.0
+        pop = random_population(np.random.default_rng(1320), 20)
+        assert float(np.min(np.diff(np.sort(pop.posteriors)))) >= 1e-6
+        cost = CostParams(0.7, 1.3)
+        ratio = cost.posterior_cutoff
+        levels = (0.5 * ratio, ratio, 0.5 * (1.0 + ratio))
+        assert check_population(pop, (0.5, 1.0, 2.0), cost, levels, minimax=True).failed == ()
+
     def test_tied_populations_contain_an_exact_tie(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
@@ -284,9 +306,16 @@ def _block_cases():
     return cases + [pytest.param(_dyadic_tie_population(), id="n=18-dyadic-tie")]
 
 
+def _slice_visits(pop, *masks):
+    """Position in the pass's visit order of the slice that holds each mask."""
+    order = [start // _BLOCK for start, _, _ in _slices(pop)]
+    return [order.index(mask // _BLOCK) for mask in masks]
+
+
 class TestBlockScan:
     """The slice-by-slice scans return exactly what the whole-array formulas
-    give, on populations with 2^16 to 2^18 subsets, i.e. 2 to 8 slices."""
+    give, on populations with 2^16 to 2^18 subsets, each more than one slice
+    of ``_BLOCK`` masks."""
 
     @staticmethod
     def _whole(pop):
@@ -332,7 +361,8 @@ class TestBlockScan:
         tied = np.flatnonzero(values == np.max(values))
         early, late = 0b111 | 1 << 16, 0b111 | 1 << 15 | 1 << 16
         assert tied.tolist() == [early, late]
-        assert early // _BLOCK == 2 and late // _BLOCK == 3
+        early_visit, late_visit = _slice_visits(pop, early, late)
+        assert late_visit < early_visit  # different slices, the later mask's seen first
         clf, value = brute_force_fbeta_max(pop, 1.0)
         assert value == 2.0 / 3.0 and clf.included == frozenset({0, 1, 2, 15, 16})
 
@@ -394,11 +424,12 @@ class TestOnePass:
     def test_minimax_tie_goes_to_the_first_mask_across_slices(self):
         """17 atoms in 256ths, so every subset sum is exact.  {16} and {15, 16} tie
         at the least max(fpr, fnr), 8/158, because atom 15 is positive only and fpr
-        is the larger rate of both.  They lie in slices 2 and 3, which the pass
-        visits in the order 0, 1, 3, 2; {16}, first in mask order, must still win."""
+        is the larger rate of both.  They lie in different slices, and the pass
+        visits the slice of {15, 16} first; {16}, first in mask order, must still win."""
         counts = [(0, 10)] * 15 + [(2, 0), (96, 8)]
         pop = DiscretePopulation(atoms=tuple((a / 256, b / 256) for a, b in counts))
-        assert [start // _BLOCK for start, _, _ in _slices(pop)] == [0, 1, 3, 2]
+        early_visit, late_visit = _slice_visits(pop, 1 << 16, 1 << 15 | 1 << 16)
+        assert late_visit < early_visit
         pos, neg = pop.subset_masses
         worst = np.maximum(neg / (1.0 - pop.prevalence), 1.0 - pos / pop.prevalence)
         assert np.flatnonzero(worst == worst.min()).tolist() == [1 << 16, 1 << 15 | 1 << 16]

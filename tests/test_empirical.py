@@ -222,6 +222,11 @@ class TestFitBinormal:
         with pytest.raises(ValueError):
             fit_binormal(sample)
 
+    def test_requires_within_class_spread(self):
+        sample = LabeledSample([0.0, 0.0, 1.0, 1.0], [-1, -1, 1, 1])
+        with pytest.raises(ValueError, match="^model fitting needs within-class score spread$"):
+            fit_binormal(sample)
+
 
 class TestSampleValidation:
     def test_labeled_sample_rejects_bad_label(self):

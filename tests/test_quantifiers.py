@@ -29,6 +29,7 @@ from binquant.metrics import CostParams, NasVariant, QConfig, prediction_error, 
 from binquant.quantifiers import (
     DegenerateClassifierError,
     DegenerateCostError,
+    QuantificationEstimate,
     _q_measures_of_mass,
     adjusted_count,
     bayes_classifier,
@@ -498,6 +499,10 @@ class TestAdjustedCount:
     def test_rejects_bad_mass(self):
         with pytest.raises(ValueError):
             adjusted_count(1.5, Rates(tpr=0.8, fpr=0.2))
+
+    def test_rejects_an_unclamped_estimate(self):
+        with pytest.raises(ValueError, match=r"^ac_clamped must equal ac clipped to \[0, 1\]$"):
+            QuantificationEstimate(cc=0.5, ac=1.5, ac_clamped=1.5)
 
 
 def _within_or_bracketed(value, f, t, tol=1e-12):
