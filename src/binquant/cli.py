@@ -31,7 +31,6 @@ import numpy as np
 from .binormal import BinormalModel, ModelFieldError, ThresholdClassifier
 from .discrete_oracle import MAX_ATOMS, check_population, random_population
 from .empirical import (
-    CsvFormatError,
     LabeledSample,
     ScoreSample,
     _flagged_fraction,
@@ -231,9 +230,9 @@ def _read_inputs(train_path: str, target_path: str) -> tuple[LabeledSample, Scor
     one stream would split its lines between them.
 
     Either way the train file's error wins, as in a sequential read.  The child sends
-    back ``(True, sample)`` or ``(False, error)`` through a pipe and never writes to
-    stdout or stderr.  Any other ending of the child makes this process read the target
-    itself, so the same result or error comes out.
+    back only the sample, through a pipe, and exits non-zero on any failure without
+    writing to stdout or stderr.  On that exit this process reads the target itself, so
+    the same error comes out in file order.
     """
     try:
         info = os.stat(target_path)
@@ -256,12 +255,9 @@ def _read_inputs(train_path: str, target_path: str) -> tuple[LabeledSample, Scor
         code = 1
         try:
             os.close(read_end)
-            try:
-                reply = (True, read_score_csv(target_path))
-            except (CsvFormatError, OSError) as exc:  # their texts survive pickling
-                reply = (False, exc)
+            sample = read_score_csv(target_path)
             with open(write_end, "wb") as pipe:
-                pipe.write(pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL))
+                pipe.write(pickle.dumps(sample, protocol=pickle.HIGHEST_PROTOCOL))
             code = 0
         finally:
             os._exit(code)  # runs no atexit handler and flushes no inherited buffer
@@ -277,10 +273,7 @@ def _read_inputs(train_path: str, target_path: str) -> tuple[LabeledSample, Scor
         _, status = os.waitpid(pid, 0)
     if os.waitstatus_to_exitcode(status) != 0:
         return train, read_score_csv(target_path)
-    ok, value = pickle.loads(data)
-    if not ok:
-        raise value
-    return train, value
+    return train, pickle.loads(data)
 
 
 def _cmd_quantify(args: argparse.Namespace) -> int:

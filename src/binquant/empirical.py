@@ -23,11 +23,12 @@ are labels; ``1_0`` and non-ASCII digits are invalid.  The first faulty
 line raises ``CsvFormatError`` naming the file, the line and the token.
 A byte that is not UTF-8 counts as a fault of its line.
 
-One numpy call converts every line below the header of a regular file,
-reading the file by its path.  A stream such as a pipe, and a file with
-``#`` or whitespace-only lines below its header or a fault, are read a
-chunk of lines at a time through a line filter, which skips what the
-format skips and names the first faulty line.
+Python reads and checks the lines up to the header of every file.  One
+numpy call converts every line below it in a regular file, reading the
+file by its path.  A stream such as a pipe, and a file with ``#`` or
+whitespace-only lines below its header or a fault, are read from the line
+below the header a chunk of lines at a time through a line filter, which
+skips what the format skips and names the first faulty line.
 """
 
 from __future__ import annotations
@@ -286,24 +287,29 @@ def _line_fault(raw: str, names: list[str]) -> str:
             return f"{fault} {token!r}"
 
 
-def _whole_body(handle, path: str, header: str, dtype: np.dtype) -> np.ndarray | None:
-    """The rows after the header of the seekable file open as ``handle``, converted by
-    one numpy call that reads the file again by its path, or None if the line filter
-    must read it from the start.  Python reads the lines up to the header as the filter
-    does: it strips them, skips blank lines and ``#`` comments and checks the header,
-    leaving any fault for the filter to name.  numpy then skips those lines and converts
-    the rest.  A comment or a whitespace-only line below the header, a faulty line and
-    a byte that is not UTF-8, in a line up to the header too, all fail that call.  A
-    body of empty lines alone never reaches numpy, which would warn that it holds no
-    data."""
+def _head_lines(handle, path: str, header: str) -> int:
+    """Read the lines of ``handle`` up to the header and check it; return how many there
+    are.  Each line is stripped, and blank lines and ``#`` comments are skipped, except
+    that a line holding a byte that is not UTF-8 is never skipped, so it is read as the
+    header and named as faulty."""
     head = 0
     while raw := handle.readline():
         head += 1
         line = raw.strip()
-        if line and line[0] != "#":
-            break
-    if not raw or line != header:
-        return None
+        if line and (line[0] != "#" or _decode_fault(line)):
+            if line != header:
+                fault = _decode_fault(raw) or f"expected header {header!r}, got {line!r}"
+                raise CsvFormatError(f"{path}:{head}: {fault}")
+            return head
+    raise CsvFormatError(f"{path}: missing {header!r} header")
+
+
+def _whole_body(handle, path: str, head: int, dtype: np.dtype) -> np.ndarray | None:
+    """The rows below the ``head`` lines of the seekable file open as ``handle``,
+    converted by one numpy call that reads the file again by its path, or None if the
+    line filter must read them.  A comment or a whitespace-only line below the header, a
+    faulty line and a byte that is not UTF-8 all fail that call.  A body of empty lines
+    alone never reaches numpy, which would warn that it holds no data."""
     while (raw := handle.readline()).isspace():
         pass
     if not raw:
@@ -313,33 +319,34 @@ def _whole_body(handle, path: str, header: str, dtype: np.dtype) -> np.ndarray |
 
 
 def _data_rows(path: str, header: str) -> np.ndarray:
-    """Every data row after ``header``, with a field per header name.  The lines below
-    the header of a seekable file go to numpy whole, through ``_whole_body``.  A stream,
-    such as a pipe, or a file that one call cannot convert is read from the start a
-    chunk of lines at a time.  Once the header is seen, numpy converts each chunk as
-    read, field count included.  Python filters a chunk only when numpy rejects it or
-    the header is still to come: it strips the lines, skips blank lines and ``#``
-    comments, checks the header and hands the rest to numpy.  Comments, whitespace-only
-    lines and faulty lines all fail numpy's conversion, so they always reach the filter.
-    A byte that is not UTF-8 is read as a lone surrogate (U+DC80 to U+DCFF), which numpy
-    never converts and the filter keeps, comment or not, so it makes its line faulty.
-    A faulty chunk is bisected, so the first faulty line in file order raises
-    ``CsvFormatError``."""
+    """Every data row below ``header``, with a field per header name.  ``_head_lines``
+    reads and checks the lines up to the header, once for every file.  The lines below
+    it in a seekable file go to numpy whole, through ``_whole_body``.  A stream, such as
+    a pipe, or a file that one call cannot convert is read from the line below the header
+    a chunk of lines at a time.  numpy converts each chunk as read, field count included,
+    and Python filters a chunk only when numpy rejects it: it strips the lines, skips
+    blank lines and ``#`` comments and hands the rest to numpy.  Comments,
+    whitespace-only lines and faulty lines all fail numpy's conversion, so they always
+    reach the filter.  A byte that is not UTF-8 is read as a lone surrogate (U+DC80 to
+    U+DCFF), which numpy never converts and the filter keeps, comment or not, so it
+    makes its line faulty.  A faulty chunk is bisected, so the first faulty line in
+    file order raises ``CsvFormatError``."""
     names = header.split(",")
     dtype = np.dtype([(name, _FIELDS[name][0]) for name in names])
     with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
+        head = _head_lines(handle, path, header)
         if handle.seekable() and not ("://" in path or path.endswith(_NUMPY_OPENS_OTHERWISE)):
-            if (rows := _whole_body(handle, path, header, dtype)) is not None:
+            body = handle.tell()
+            if (rows := _whole_body(handle, path, head, dtype)) is not None:
                 return rows
-            handle.seek(0)
-        lineno, header_seen, parts = 1, False, []
+            handle.seek(body)
+        lineno, parts = head + 1, []
         # readlines splits only on "\n" after newline translation; str.splitlines
         # would also split on "\x0c", "\x1c" or "\x85" inside a line.  A chunk of
         # empty lines alone goes to the filter, as numpy warns on input with no rows.
         while chunk := handle.readlines(_CHUNK_CHARS):
             first, lineno = lineno, lineno + len(chunk)
-            if (header_seen and any(map("\n".__ne__, chunk))
-                    and (rows := _sound_rows(chunk, dtype)) is not None):
+            if any(map("\n".__ne__, chunk)) and (rows := _sound_rows(chunk, dtype)) is not None:
                 parts.append(rows)
                 continue
             lines = list(map(str.strip, chunk))
@@ -347,13 +354,6 @@ def _data_rows(path: str, header: str) -> np.ndarray:
                        if line and (line[0] != "#" or _decode_fault(line))]
             if len(numbers) < len(lines):
                 lines = [lines[n - first] for n in numbers]
-            if lines and not header_seen:
-                if lines[0] != header:
-                    fault = (_decode_fault(chunk[numbers[0] - first])
-                             or f"expected header {header!r}, got {lines[0]!r}")
-                    raise CsvFormatError(f"{path}:{numbers[0]}: {fault}")
-                header_seen = True
-                del numbers[0], lines[0]
             rows = _sound_rows(lines, dtype) if lines else np.empty(0, dtype)
             lo, hi = 0, len(lines)  # bisect: lines[:lo] are sound, lines[:hi] are not
             while rows is None and hi - lo > 1:
@@ -363,8 +363,6 @@ def _data_rows(path: str, header: str) -> np.ndarray:
                 fault = _line_fault(chunk[numbers[lo] - first], names)
                 raise CsvFormatError(f"{path}:{numbers[lo]}: {fault}")
             parts.append(rows)
-    if not header_seen:
-        raise CsvFormatError(f"{path}: missing {header!r} header")
     if not sum(map(len, parts)):
         raise CsvFormatError(f"{path}: no data rows")
     return np.concatenate(parts)

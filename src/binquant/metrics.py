@@ -235,6 +235,6 @@ def error_bound(rates: Rates) -> float:
     """Sharp prior-independent bound on ``prediction_error``: max(fpr, fnr).
 
     The error is convex piecewise linear in w, so it peaks at an endpoint,
-    where it equals fpr (at w = 0) or 1 - tpr (at w = 1).
+    where it equals fpr (at w = 0) or fnr (at w = 1).
     """
-    return max(rates.fpr, 1.0 - rates.tpr)
+    return max(rates.fpr, rates.fnr)

@@ -456,6 +456,21 @@ def _csv_error(tmp_path, text, reader=read_labeled_csv):
     return str(path), str(exc.value)
 
 
+def _pipe_error(data: bytes, reader) -> tuple[str, str]:
+    """Pipe ``data`` to the reader through ``/dev/fd/N`` and return (that path, the
+    reader's error text); ``data`` must fit in the pipe's buffer."""
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, data)
+        os.close(write_end)
+        path = f"/dev/fd/{read_end}"
+        with pytest.raises(CsvFormatError) as exc:
+            reader(path)
+    finally:
+        os.close(read_end)
+    return path, str(exc.value)
+
+
 class TestCsvErrorText:
     """The full ``CsvFormatError`` text of every message kind, and the order of
     competing faults: the first faulty line of the file wins."""
@@ -548,16 +563,31 @@ class TestCsvErrorText:
     ])
     def test_invalid_utf8_from_a_pipe_names_its_line(self, data, message):
         """A pipe, which cannot be read again, gives the text a file gives."""
-        read_end, write_end = os.pipe()
-        try:
-            os.write(write_end, data)  # fits in the pipe's buffer
-            os.close(write_end)
-            path = f"/dev/fd/{read_end}"
-            with pytest.raises(CsvFormatError) as exc:
-                read_score_csv(path)
-        finally:
-            os.close(read_end)
-        assert str(exc.value) == f"{path}:{message}"
+        path, error = _pipe_error(data, read_score_csv)
+        assert error == f"{path}:{message}"
+
+    @pytest.mark.parametrize("data, reader, message", [
+        (b"value,label\n1.0,1\n", read_labeled_csv,
+         ":1: expected header 'score,label', got 'value,label'"),
+        (b"# note\n\nscore,label\n", read_score_csv,
+         ":3: expected header 'score', got 'score,label'"),
+        (b"score\xff\n0.5\n", read_score_csv,
+         ":1: 'utf-8' codec can't decode byte 0xff in position 5: invalid start byte"),
+        (b"# caf\xe9\nscore\n0.5\n", read_score_csv,
+         ":1: 'utf-8' codec can't decode byte 0xe9 in position 5: invalid continuation byte"),
+        (b"", read_score_csv, ": missing 'score' header"),
+        (b"# only a comment\n\n", read_labeled_csv, ": missing 'score,label' header"),
+        (b"score\n", read_score_csv, ": no data rows"),
+        (b"score,label\n# nothing yet\n\n", read_labeled_csv, ": no data rows"),
+    ])
+    def test_header_faults_from_a_pipe_read_as_from_a_file(self, tmp_path, data, reader,
+                                                           message):
+        """The header is checked once, before either read path, so a pipe and a file
+        give the same text."""
+        path, error = _csv_error(tmp_path, data, reader)
+        assert error == f"{path}{message}"
+        path, error = _pipe_error(data, reader)
+        assert error == f"{path}{message}"
 
     @pytest.mark.parametrize(
         "rows, message",
@@ -647,12 +677,15 @@ class TestRawChunks:
 
     @pytest.mark.parametrize("chunk, offset", [(2, -1), (3, 0)])
     def test_fault_at_a_chunk_edge(self, tmp_path, chunk, offset):
-        """A fault on the last line of chunk 2 or the first of chunk 3; the faulty line
-        has the length of a sound one, so the chunks keep their edges."""
+        """A fault on the last line of chunk 2 or the first of chunk 3: ``offset`` lines
+        from the first line of chunk ``chunk - offset``.  The chunks start on the line
+        below the header, which the reader reads first; the faulty line has the length
+        of a sound one, so the chunks keep their edges."""
         lines = self._lines()
         path = self._write(tmp_path, lines)
         with open(path, encoding="utf-8") as handle:
-            edge = sum(len(handle.readlines(1 << 20)) for _ in range(chunk - 1))
+            handle.readline()
+            edge = 1 + sum(len(handle.readlines(1 << 20)) for _ in range(chunk - offset - 1))
         fault = self.ROW.replace("5,", "x,")
         lines[edge + offset] = fault
         path, error = _csv_error(tmp_path, "\n".join(lines) + "\n")
