@@ -37,7 +37,6 @@ from .empirical import (
     _write_csv,
     estimate_rates,
     fit_binormal,
-    quantify_sample,
     read_labeled_csv,
     read_score_csv,
 )
@@ -45,6 +44,7 @@ from .metrics import CostParams, NasVariant, QConfig, _check_beta, prediction_er
 from .quantifiers import (
     DegenerateCostError,
     _q_measures_of_mass,
+    adjusted_count,
     bayes_classifier,
     f_optimal_classifier,
     locally_best_classifier,
@@ -110,13 +110,18 @@ def _add_shared_flags(parser: argparse.ArgumentParser, beta_help: str) -> None:
                         help="output file (default: stdout)")
 
 
+def _from_flags(flags: str, build, *args):
+    """``build(*args)``, or a usage error led by ``flags`` where it raises ValueError."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise _UsageError(f"{flags}: {exc}") from exc
+
+
 def _betas(args: argparse.Namespace, default: tuple[float, ...]) -> tuple[float, ...]:
     betas = tuple(args.beta) if args.beta else default
-    try:
-        for beta in betas:
-            _check_beta(beta)
-    except ValueError as exc:
-        raise _UsageError(f"--beta: {exc}") from exc
+    for beta in betas:
+        _from_flags("--beta", _check_beta, beta)
     return betas
 
 
@@ -165,10 +170,12 @@ def _cmd_figure_error(args: argparse.Namespace) -> int:
     grid = _grid(args)
     config = QConfig(beta=betas[0], nas_variant=nas_variant)
     *others, q_opt = _RULES.values()
-    names, rules = zip(q_opt, *others)  # the q-optimal column comes first
+    cuts = [(*q_opt, "/--beta"), *((*rule, "") for rule in others)]  # q-optimal comes first
     w = np.linspace(0.0, 1.0, grid)
-    header = ["w", *names]
-    columns = [w, *(prediction_error(rule(model, config).rates, w) for rule in rules)]
+    header = ["w", *(name for name, _, _ in cuts)]
+    columns = [w, *(prediction_error(_from_flags(
+        f"--mu/--nu/--sigma/--p{beta}: cannot build the {name} column", rule, model, config
+    ).rates, w) for name, rule, beta in cuts)]
     comment = f"{_comment('figure-error', model, betas, nas_variant)} grid={grid}"
     _write_csv(args.out, comment, header, columns)
     return EXIT_OK
@@ -176,10 +183,7 @@ def _cmd_figure_error(args: argparse.Namespace) -> int:
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     betas, model, nas_variant = _betas(args, (1.0, 2.0)), _model(args), NasVariant(args.nas)
-    try:
-        cost = CostParams(fn_cost=args.cost_fn, fp_cost=args.cost_fp)
-    except ValueError as exc:
-        raise _UsageError(f"--cost-fn/--cost-fp: {exc}") from exc
+    cost = _from_flags("--cost-fn/--cost-fp", CostParams, args.cost_fn, args.cost_fp)
     try:
         bayes = bayes_classifier(model, cost)
     except DegenerateCostError as exc:  # a free miss or false alarm has no cut-point
@@ -190,12 +194,13 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
     solvers = {"q_optimal": lambda b: q_optimal_classifier(model, QConfig(b, nas_variant)),
                "f_optimal": lambda b: f_optimal_classifier(model, b)}
-    named = [
-        ("bayes", bayes),
-        ("minimax", minimax_classifier(model)),
-        ("locally_best", locally_best_classifier(model)),
-        *((f"{kind}_beta={b:g}", solve(b)) for kind, solve in solvers.items() for b in betas),
-    ]
+    builds = [("minimax", "", minimax_classifier, model),
+              ("locally_best", "", locally_best_classifier, model),
+              *((f"{kind}_beta={b:g}", "/--beta", solve, b)
+                for kind, solve in solvers.items() for b in betas)]
+    named = [("bayes", bayes), *((name, _from_flags(
+        f"--mu/--nu/--sigma/--p{beta}: cannot build the {name} row", build, arg
+    )) for name, beta, build, arg in builds)]
     rows = [(name, opt.classifier.threshold, opt.u_star, opt.rates.tpr, opt.rates.fpr,
              opt.objective_value) for name, opt in named]
 
@@ -239,17 +244,17 @@ def _read_inputs(train_path: str, target_path: str) -> tuple[LabeledSample, Scor
         large = stat.S_ISREG(info.st_mode) and info.st_size >= _FORK_MIN_BYTES
     except OSError:  # reading the target raises it again, in file order
         large = False
-    if not (large and hasattr(os, "fork") and threading.active_count() == 1):
-        return read_labeled_csv(train_path), read_score_csv(target_path)
-    import pickle
-    import signal
-
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
+    pid = -1  # no child: this process reads both files
+    if large and hasattr(os, "fork") and threading.active_count() == 1:
+        import pickle
+        import signal
+        read_end, write_end = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+    if pid < 0:
         return read_labeled_csv(train_path), read_score_csv(target_path)
     if pid == 0:
         code = 1
@@ -292,10 +297,7 @@ def _cmd_quantify(args: argparse.Namespace) -> int:
         if any(given):
             raise _UsageError("give none of --mu/--nu/--sigma/--p with --threshold "
                               "(they set the model of --rule)")
-        try:
-            classifier = ThresholdClassifier(args.threshold)
-        except ValueError as exc:
-            raise _UsageError(f"--threshold: {exc}") from exc
+        classifier = _from_flags("--threshold", ThresholdClassifier, args.threshold)
     elif all(given):
         model = _model(args)
     elif any(given):
@@ -312,11 +314,11 @@ def _cmd_quantify(args: argparse.Namespace) -> int:
     rates = estimate_rates(train, classifier)
     print(f"threshold={classifier.threshold!r}")
     print(f"tpr={rates.tpr!r} fpr={rates.fpr!r} (estimated from {args.train})")
-    if args.method == "cc":
-        print(f"cc={_flagged_fraction(target, classifier)!r}")
-    else:
-        estimate = quantify_sample(target, classifier, rates)
-        print(f"cc={estimate.cc!r}")
+    cc = _flagged_fraction(target, classifier)
+    # adjusted before the cc line, so that a DegenerateClassifierError prints no cc
+    estimate = adjusted_count(cc, rates) if args.method == "ac" else None
+    print(f"cc={cc!r}")
+    if estimate is not None:
         print(f"ac={estimate.ac!r} ac_clamped={estimate.ac_clamped!r}")
     return EXIT_OK
 
@@ -424,15 +426,12 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return int(args.handler(args))
-    except _UsageError as exc:
+    # Any but a _UsageError is a data error.  ValueError includes CsvFormatError and
+    # DegenerateClassifierError; OSError covers unreadable inputs and unwritable --out
+    # paths, and names the path.  ArithmeticError is a stray overflow or division fault.
+    except (_UsageError, ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    # ValueError includes CsvFormatError and DegenerateClassifierError; OSError
-    # covers unreadable inputs and unwritable --out paths, and names the path.
-    # ArithmeticError is a stray overflow or division fault: a message, not a traceback.
-    except (ValueError, OSError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return EXIT_USAGE if isinstance(exc, _UsageError) else EXIT_DATA
 
 
 if __name__ == "__main__":

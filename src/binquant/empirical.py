@@ -28,7 +28,7 @@ numpy call converts every line below it in a regular file, reading the
 file by its path.  A stream such as a pipe, and a file with ``#`` or
 whitespace-only lines below its header or a fault, are read from the line
 below the header a chunk of lines at a time through a line filter, which
-skips what the format skips and names the first faulty line.
+skips the lines ``_read_indices`` skips and names the first faulty line.
 """
 
 from __future__ import annotations
@@ -287,16 +287,19 @@ def _line_fault(raw: str, names: list[str]) -> str:
             return f"{fault} {token!r}"
 
 
+def _read_indices(lines: list[str]) -> list[int]:
+    """The indices of the stripped ``lines`` that are read: a blank line or ``#`` comment
+    is skipped, unless it holds a byte that is not UTF-8, which makes it a faulty line."""
+    return [n for n, line in enumerate(lines) if line and (line[0] != "#" or _decode_fault(line))]
+
+
 def _head_lines(handle, path: str, header: str) -> int:
-    """Read the lines of ``handle`` up to the header and check it; return how many there
-    are.  Each line is stripped, and blank lines and ``#`` comments are skipped, except
-    that a line holding a byte that is not UTF-8 is never skipped, so it is read as the
-    header and named as faulty."""
+    """Read the lines of ``handle`` up to the header, the first stripped line that
+    ``_read_indices`` reads, and check it; return how many lines there are."""
     head = 0
     while raw := handle.readline():
         head += 1
-        line = raw.strip()
-        if line and (line[0] != "#" or _decode_fault(line)):
+        if _read_indices([line := raw.strip()]):
             if line != header:
                 fault = _decode_fault(raw) or f"expected header {header!r}, got {line!r}"
                 raise CsvFormatError(f"{path}:{head}: {fault}")
@@ -324,8 +327,8 @@ def _data_rows(path: str, header: str) -> np.ndarray:
     it in a seekable file go to numpy whole, through ``_whole_body``.  A stream, such as
     a pipe, or a file that one call cannot convert is read from the line below the header
     a chunk of lines at a time.  numpy converts each chunk as read, field count included,
-    and Python filters a chunk only when numpy rejects it: it strips the lines, skips
-    blank lines and ``#`` comments and hands the rest to numpy.  Comments,
+    and Python filters a chunk only when numpy rejects it: it strips the lines, keeps
+    those ``_read_indices`` reads and hands them to numpy.  Comments,
     whitespace-only lines and faulty lines all fail numpy's conversion, so they always
     reach the filter.  A byte that is not UTF-8 is read as a lone surrogate (U+DC80 to
     U+DCFF), which numpy never converts and the filter keeps, comment or not, so it
@@ -350,18 +353,16 @@ def _data_rows(path: str, header: str) -> np.ndarray:
                 parts.append(rows)
                 continue
             lines = list(map(str.strip, chunk))
-            numbers = [n for n, line in enumerate(lines, first)
-                       if line and (line[0] != "#" or _decode_fault(line))]
-            if len(numbers) < len(lines):
-                lines = [lines[n - first] for n in numbers]
+            kept = _read_indices(lines)
+            lines = [lines[n] for n in kept]
             rows = _sound_rows(lines, dtype) if lines else np.empty(0, dtype)
             lo, hi = 0, len(lines)  # bisect: lines[:lo] are sound, lines[:hi] are not
             while rows is None and hi - lo > 1:
                 mid = (lo + hi) // 2
                 lo, hi = (lo, mid) if _sound_rows(lines[lo:mid], dtype) is None else (mid, hi)
             if rows is None:
-                fault = _line_fault(chunk[numbers[lo] - first], names)
-                raise CsvFormatError(f"{path}:{numbers[lo]}: {fault}")
+                n = kept[lo]
+                raise CsvFormatError(f"{path}:{first + n}: {_line_fault(chunk[n], names)}")
             parts.append(rows)
     if not sum(map(len, parts)):
         raise CsvFormatError(f"{path}: no data rows")

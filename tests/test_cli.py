@@ -183,6 +183,21 @@ class TestQuantify:
         assert "cc=" in out
         assert "ac=" not in out
 
+    @pytest.mark.parametrize("method", ["ac", "cc"])
+    def test_cut_without_signal(self, method, sample_files, capsys):
+        """A cut above every score has tpr = fpr = 0.  The count adjustment then fails
+        after the threshold and rate lines, before the cc line; --method cc runs."""
+        train, target = sample_files
+        code = main(["quantify", train, target, "--threshold", "1e9", "--method", method])
+        out, err = capsys.readouterr()
+        lines = f"threshold=1000000000.0\ntpr=0.0 fpr=0.0 (estimated from {train})\n"
+        if method == "ac":
+            assert (code, out) == (EXIT_DATA, lines)
+            assert err == ("error: tpr and fpr agree to within 1e-12; "
+                           "flagged counts carry no prevalence signal\n")
+        else:
+            assert (code, out, err) == (EXIT_OK, f"{lines}cc=0.0\n", "")
+
     def test_target_equal_to_train_scores(self, sample_files, tmp_path, capsys):
         train, _ = sample_files
         from binquant.empirical import read_labeled_csv
@@ -859,10 +874,18 @@ class TestFlagSet:
         (["quantify", "--threshold", "inf"], "--threshold: threshold must be finite, got inf"),
         (["optimize", "--nu=1e280", "--sigma=1e300"], _BAYES_BEYOND_FLOATS),
         (["optimize", "--nu", "2.2250738585072014e-308", "--p", "1e-300"], _BAYES_BEYOND_FLOATS),
+        (["optimize", "--mu=-3", "--nu=1e-308", "--sigma=1e200", "--p=0.5"],
+         "--mu/--nu/--sigma/--p/--beta: cannot build the f_optimal_beta=1 row: "
+         "threshold must be finite, got -inf"),
+        (["figure-error", "--mu=-3", "--nu=0", "--sigma=1e308", "--p=1e-10", "--grid", "5"],
+         "--mu/--nu/--sigma/--p: cannot build the err_locallybest column: "
+         "threshold must be finite, got inf"),
     ])
     def test_cost_and_threshold_errors_name_their_flag(self, argv, message, sample_files,
                                                        capsys):
-        """Such errors once named no flag, among them a Bayes cut beyond the float range."""
+        """Such errors once named no flag, among them a cut-point beyond the float range:
+        the Bayes row's, and an F-optimal row's or a locally best column's, which once
+        exited 2."""
         if argv[0] == "quantify":
             argv = [argv[0], *sample_files, *argv[1:]]
         assert main(argv) == EXIT_USAGE

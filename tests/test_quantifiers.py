@@ -25,7 +25,8 @@ from binquant.binormal import (
     mixture_cdf,
     posterior,
 )
-from binquant.metrics import CostParams, NasVariant, QConfig, prediction_error, shifted_prevalence
+from binquant.metrics import (CostParams, NasVariant, QConfig, error_bound, prediction_error,
+                              shifted_prevalence)
 from binquant.quantifiers import (
     DegenerateClassifierError,
     DegenerateCostError,
@@ -181,6 +182,35 @@ class TestLocallyBestClassifier:
             result = locally_best_classifier(model)
             assert abs(result.u_star - model.p) <= 1e-9
             assert prediction_error(result.rates, model.p) <= 1e-9
+
+    _LARGE_D = pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the mass-p cut and the "
+                                 "error bound lose their digits beyond d = 6")
+
+    @pytest.mark.parametrize("d", [
+        0.01, 0.25, 1.0, 2.0, 4.0, 6.0,
+        pytest.param(8.0, marks=_LARGE_D), pytest.param(12.0, marks=_LARGE_D),
+        pytest.param(20.0, marks=_LARGE_D),
+    ])
+    def test_balanced_prior_cuts_at_half_the_separation(self, d):
+        """At p = 1/2 the two classes have equal mass on either side of d/2, so the
+        mass-p cut is d/2.  Beyond d = 6 the mixture mass stays within an ulp of 1/2
+        over several z-units, and the cut misses by 3.1e-13 at d = 8, 7.8e-9 at d = 12
+        and 1.504 at d = 20."""
+        threshold = locally_best_classifier(BinormalModel(0.0, d, 1.0, 0.5)).classifier.threshold
+        assert abs(threshold - d / 2) <= 1e-14 * (1 + d / 2)
+
+    @_LARGE_D
+    def test_error_bound_keeps_the_far_tail_rate(self):
+        """At d = 20 the locally best cut is 11.504425 today.  There fnr = Phi(z - d) is
+        9.85e-18, which ``1 - tpr`` rounds to 0, so the bound reads fpr = 6.27e-31.  The
+        rates are those of that cut, so the test still checks the tail once the cut is
+        mended."""
+        threshold = 11.504425026510203
+        rates = classifier_rates(BinormalModel(0.0, 20.0, 1.0, 0.5), ThresholdClassifier(threshold))
+        with mpmath.workdps(40):
+            z = mpmath.mpf(threshold)
+            expected = float(max(mpmath.ncdf(-z), mpmath.ncdf(z - 20)))
+        assert error_bound(rates) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestQMeasureOfMass:
