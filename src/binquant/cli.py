@@ -69,13 +69,13 @@ _BETAS_HELP = "measure weight, repeatable (default 1 and 2)"
 # file converted whole by numpy (medians of 41-61 alternating pairs per size).
 _FORK_MIN_BYTES = 1 << 18
 
-# The named cut-point rules in --rule order, each with its figure-error column and its
-# constructor of (model, QConfig).  The lambdas look the constructors up at call time,
-# so a wrapper set on this module's names (perfbench/tracing.py) still sees each call.
+# The --rule cut-points in order: figure-error column, flags beyond the model's that set
+# the cut, and constructor of (model, QConfig).  Each lambda looks its constructor up at
+# call time, so a wrapper set on this module's names (perfbench/tracing.py) sees each call.
 _RULES = {
-    "minimax": ("err_minimax", lambda model, config: minimax_classifier(model)),
-    "locally-best": ("err_locallybest", lambda model, config: locally_best_classifier(model)),
-    "q-optimal": ("err_qopt", lambda model, config: q_optimal_classifier(model, config)),
+    "minimax": ("err_minimax", "", lambda model, config: minimax_classifier(model)),
+    "locally-best": ("err_locallybest", "", lambda model, config: locally_best_classifier(model)),
+    "q-optimal": ("err_qopt", "/--beta", lambda model, config: q_optimal_classifier(model, config)),
 }
 
 
@@ -116,6 +116,11 @@ def _from_flags(flags: str, build, *args):
         return build(*args)
     except ValueError as exc:
         raise _UsageError(f"{flags}: {exc}") from exc
+
+
+def _cut(what: str, flags: str, build, *args):
+    """``build(*args)``, or a usage error naming the flags that set the cut of ``what``."""
+    return _from_flags(f"--mu/--nu/--sigma/--p{flags}: cannot build the {what}", build, *args)
 
 
 def _betas(args: argparse.Namespace, default: tuple[float, ...]) -> tuple[float, ...]:
@@ -170,12 +175,11 @@ def _cmd_figure_error(args: argparse.Namespace) -> int:
     grid = _grid(args)
     config = QConfig(beta=betas[0], nas_variant=nas_variant)
     *others, q_opt = _RULES.values()
-    cuts = [(*q_opt, "/--beta"), *((*rule, "") for rule in others)]  # q-optimal comes first
+    cuts = [q_opt, *others]  # q-optimal comes first
     w = np.linspace(0.0, 1.0, grid)
     header = ["w", *(name for name, _, _ in cuts)]
-    columns = [w, *(prediction_error(_from_flags(
-        f"--mu/--nu/--sigma/--p{beta}: cannot build the {name} column", rule, model, config
-    ).rates, w) for name, rule, beta in cuts)]
+    columns = [w, *(prediction_error(_cut(f"{name} column", flags, rule, model, config).rates, w)
+                    for name, flags, rule in cuts)]
     comment = f"{_comment('figure-error', model, betas, nas_variant)} grid={grid}"
     _write_csv(args.out, comment, header, columns)
     return EXIT_OK
@@ -198,9 +202,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
               ("locally_best", "", locally_best_classifier, model),
               *((f"{kind}_beta={b:g}", "/--beta", solve, b)
                 for kind, solve in solvers.items() for b in betas)]
-    named = [("bayes", bayes), *((name, _from_flags(
-        f"--mu/--nu/--sigma/--p{beta}: cannot build the {name} row", build, arg
-    )) for name, beta, build, arg in builds)]
+    named = [("bayes", bayes), *((name, _cut(f"{name} row", flags, build, arg))
+                                 for name, flags, build, arg in builds)]
     rows = [(name, opt.classifier.threshold, opt.u_star, opt.rates.tpr, opt.rates.fpr,
              opt.objective_value) for name, opt in named]
 
@@ -292,24 +295,23 @@ def _cmd_quantify(args: argparse.Namespace) -> int:
     if len(betas) > 1:
         raise _UsageError(f"--rule q-optimal takes one --beta, got {len(betas)}")
     given = [v is not None for v in (args.mu, args.nu, args.sigma, args.p)]
-    model = None
+    if args.rule is not None:
+        _, flags, rule = _RULES[args.rule]
+        config = QConfig(beta=betas[0], nas_variant=NasVariant(args.nas or _NAS_DEFAULT))
     if args.threshold is not None:
         if any(given):
             raise _UsageError("give none of --mu/--nu/--sigma/--p with --threshold "
                               "(they set the model of --rule)")
         classifier = _from_flags("--threshold", ThresholdClassifier, args.threshold)
     elif all(given):
-        model = _model(args)
+        classifier = _cut(f"--rule {args.rule} cut", flags, rule, _model(args), config).classifier
     elif any(given):
         raise _UsageError("give all of --mu/--nu/--sigma/--p or none (to fit from the train file)")
 
     train, target = _read_inputs(args.train, args.target)
 
-    if args.rule is not None:
-        if model is None:
-            model = fit_binormal(train)
-        config = QConfig(beta=betas[0], nas_variant=NasVariant(args.nas or _NAS_DEFAULT))
-        classifier = _RULES[args.rule][1](model, config).classifier
+    if not any(given) and args.rule is not None:  # a model fitted from the train file
+        classifier = rule(fit_binormal(train), config).classifier
 
     rates = estimate_rates(train, classifier)
     print(f"threshold={classifier.threshold!r}")

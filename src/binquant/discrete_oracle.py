@@ -17,8 +17,8 @@ Enumeration is vectorized over bit masks: subset index sets are encoded
 as integers, with bit i meaning atom i is included.  The positive and
 negative mass of every subset are streamed in slices of ``_BLOCK``
 consecutive masks: the table of the low ``_LOW_ATOMS`` atoms is built once
-by doubling, and each deeper slice is its parent slice plus one more atom,
-the doubling build's own recurrence, so every mass keeps its bits.  One
+by ``_doubled``, and each deeper slice is its parent slice plus one more
+atom, ``_doubled``'s own recurrence, so every mass keeps its bits.  One
 pass per population, ``check_population``, reduces each slice while it is
 in cache for every check at once and also returns the verdicts; no
 temporary spans all 2^n subsets.  Threshold sets are evaluated at their
@@ -109,20 +109,10 @@ class DiscretePopulation:
 
     @cached_property
     def subset_masses(self) -> tuple[np.ndarray, np.ndarray]:
-        """Positive and negative mass of every subset, indexed by bit mask.
-
-        Built once per population from the slices the checks stream, so
-        each value has the bits the checks see.  The checks themselves never
-        hold all 2^n masses; the arrays are read-only.
-        """
-        pos = np.empty(1 << self.n_atoms)
-        neg = np.empty(1 << self.n_atoms)
-        for start, slice_pos, slice_neg in _slices(self):
-            pos[start:start + slice_pos.size] = slice_pos
-            neg[start:start + slice_neg.size] = slice_neg
-        pos.flags.writeable = False
-        neg.flags.writeable = False
-        return pos, neg
+        """Positive and negative mass of every subset, indexed by bit mask: ``_doubled``
+        of all atoms, whose recurrence the streamed slices follow, so each value has the
+        bits the checks see.  The checks themselves never hold all 2^n masses."""
+        return _doubled(self.atoms)
 
     @cached_property
     def _threshold_masks(self) -> np.ndarray:
@@ -133,33 +123,17 @@ class DiscretePopulation:
         {posterior >= q}.  On a finite population every threshold set
         equals one of these.
         """
-        posteriors = self.posteriors
-        levels = sorted(set(posteriors)) + [0.0, 1.0]
-        masks = np.array([_posterior_cut(posteriors, q, strict)
-                          for q in levels for strict in (True, False)])
+        levels = sorted(set(self.posteriors)) + [0.0, 1.0]
+        masks = np.column_stack([_posterior_cuts(self, levels),
+                                 _posterior_cuts(self, levels, False)]).ravel()
         masks.flags.writeable = False
         return masks
 
     @cached_property
     def _low_masses(self) -> tuple[np.ndarray, np.ndarray]:
-        """Positive and negative mass of every subset of the low ``_LOW_ATOMS``
-        atoms (of all atoms when there are no more), indexed by bit mask.
-
-        Built by doubling: the masks with top bit i are the masks below 2^i
-        plus atom i, so every mass is summed from 0.0 in atom order.  It is
-        the first slice of ``_slices``; the arrays are read-only.
-        """
-        low = min(self.n_atoms, _LOW_ATOMS)
-        pos = np.empty(1 << low)
-        neg = np.empty(1 << low)
-        pos[0] = neg[0] = 0.0
-        for i, (mp, mn) in enumerate(self.atoms[:low]):
-            k = 1 << i
-            np.add(pos[:k], mp, out=pos[k:2 * k])
-            np.add(neg[:k], mn, out=neg[k:2 * k])
-        pos.flags.writeable = False
-        neg.flags.writeable = False
-        return pos, neg
+        """``_doubled`` of the low ``_LOW_ATOMS`` atoms (of all atoms when there are
+        no more), which is the first slice of ``_slices``."""
+        return _doubled(self.atoms[:_LOW_ATOMS])
 
     @cached_property
     def _threshold_masses(self) -> tuple[np.ndarray, np.ndarray]:
@@ -190,9 +164,28 @@ def _mask_to_indices(mask: int, n_atoms: int) -> tuple[int, ...]:
     return tuple(i for i in range(n_atoms) if mask >> i & 1)
 
 
-def _posterior_cut(posteriors: tuple[float, ...], level: float, strict: bool = True) -> int:
-    """Bit mask of {posterior > level}, or of {posterior >= level} when not strict."""
-    return sum(1 << i for i, q in enumerate(posteriors) if (q > level if strict else q >= level))
+def _doubled(atoms) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only positive and negative mass of every subset of ``atoms``, indexed
+    by bit mask and built by doubling: the masks with top bit i are the masks
+    below 2^i plus atom i, so every mass is summed from 0.0 in atom order."""
+    pos = np.empty(1 << len(atoms))
+    neg = np.empty(1 << len(atoms))
+    pos[0] = neg[0] = 0.0
+    for i, (mp, mn) in enumerate(atoms):
+        k = 1 << i
+        np.add(pos[:k], mp, out=pos[k:2 * k])
+        np.add(neg[:k], mn, out=neg[k:2 * k])
+    pos.flags.writeable = False
+    neg.flags.writeable = False
+    return pos, neg
+
+
+def _posterior_cuts(population: DiscretePopulation, levels, strict: bool = True) -> np.ndarray:
+    """Int64 bit masks of {posterior > level}, or of {posterior >= level} when not
+    strict, for each of ``levels``."""
+    compare = np.greater if strict else np.greater_equal
+    above = compare(population.posteriors, np.array(levels)[:, None])
+    return above @ (1 << np.arange(population.n_atoms, dtype=np.int64))
 
 
 def _slices(population: DiscretePopulation):
@@ -200,8 +193,8 @@ def _slices(population: DiscretePopulation):
     ``_BLOCK`` consecutive masks, or of all 2^n masks when n <= ``_LOW_ATOMS``.
 
     The first slice is ``_low_masses``.  Each deeper slice is its parent, the
-    slice without its top atom, plus that atom, which is the doubling
-    build's own recurrence, so every mass is summed from 0.0 in atom order.
+    slice without its top atom, plus that atom, which is ``_doubled``'s
+    own recurrence, so every mass is summed from 0.0 in atom order.
     The slices thus come depth first, out of mask order.  There is one
     buffer per depth, so a yielded slice is valid only until the next one
     is asked for.
@@ -332,8 +325,7 @@ def check_population(
     # every subset whose predicted mass is >= m when the level is below the cost
     # ratio, <= m when above, and against every subset at equality.
     ratio = None if cost is None else cost.posterior_cutoff
-    cut_masks = np.array([_posterior_cut(population.posteriors, level) for level in cut_levels],
-                         dtype=np.int64)
+    cut_masks = _posterior_cuts(population, cut_levels)
     cuts = []
     for level, mask, pos, neg in zip(cut_levels, cut_masks.tolist(),
                                      *_masses_at(population, cut_masks)):

@@ -776,6 +776,8 @@ class TestFileErrors:
 
 _BAYES_BEYOND_FLOATS = ("--mu/--nu/--sigma/--p/--cost-fn/--cost-fp: cannot build the "
                         "cost-optimal classifier: threshold must be finite, got inf")
+_RULE_BEYOND_FLOATS = ("--mu/--nu/--sigma/--p: cannot build the --rule locally-best cut: "
+                       "threshold must be finite, got inf")
 
 
 class TestFlagSet:
@@ -880,13 +882,22 @@ class TestFlagSet:
         (["figure-error", "--mu=-3", "--nu=0", "--sigma=1e308", "--p=1e-10", "--grid", "5"],
          "--mu/--nu/--sigma/--p: cannot build the err_locallybest column: "
          "threshold must be finite, got inf"),
+        (["quantify", "--rule", "locally-best", "--mu=-3", "--nu=0", "--sigma=1e308",
+          "--p=1e-10"], _RULE_BEYOND_FLOATS),
+        (["quantify", "no-such-dir/train.csv", "no-such-dir/target.csv", "--rule",
+          "locally-best", "--mu=-3", "--nu=0", "--sigma=1e308", "--p=1e-10"],
+         _RULE_BEYOND_FLOATS),
+        (["quantify", "--rule", "q-optimal", "--mu=-3", "--nu=0", "--sigma=1e308",
+          "--p=0.9999999"], "--mu/--nu/--sigma/--p/--beta: cannot build the --rule q-optimal "
+         "cut: threshold must be finite, got -inf"),
     ])
     def test_cost_and_threshold_errors_name_their_flag(self, argv, message, sample_files,
                                                        capsys):
         """Such errors once named no flag, among them a cut-point beyond the float range:
         the Bayes row's, and an F-optimal row's or a locally best column's, which once
-        exited 2."""
-        if argv[0] == "quantify":
+        exited 2.  A --rule cut set by the model flags once exited 2 too, after reading
+        both files, or on the first that was missing; it is now checked before either."""
+        if argv[0] == "quantify" and argv[1].startswith("--"):  # the sample files go first
             argv = [argv[0], *sample_files, *argv[1:]]
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr() == ("", f"error: {message}\n")

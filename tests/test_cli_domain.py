@@ -4,9 +4,10 @@ Models are drawn with sigma from 1e-12 to 1e8, separations d = (nu - mu) / sigma
 from 1e-3 to 40, offsets mu up to 1e8 in size and priors from the smallest
 subnormal float, 5e-324, to the largest float below 1; betas and the two costs of
 ``optimize`` run from 1e-150 to 1e150.  With every warning turned into an error, a
-run of ``optimize``, ``figure-error`` or ``figure-qcurve`` must exit 0 with no
-``nan`` in its output, or exit 1 with an ``error: --flag`` line that names the flag
-at fault (a subnormal prior, or a drawn nu that rounds onto mu), and never exit 2 or
+run of ``optimize``, ``figure-error``, ``figure-qcurve`` or ``quantify --rule`` with
+the model flags must exit 0 with no ``nan`` in its output, or exit 1 with an
+``error: --flag`` line that names the flag at fault (a subnormal prior, a drawn nu
+that rounds onto mu, or a cut-point beyond the float range), and never exit 2 or
 raise.  The search is derandomized, so every run of the suite tries the same models.
 """
 
@@ -19,7 +20,11 @@ import warnings
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pytest
+
+from binquant.binormal import BinormalModel
 from binquant.cli import EXIT_OK, EXIT_USAGE, main
+from binquant.empirical import ScoreSample, sample_binormal, write_labeled_csv, write_score_csv
 
 _P_MIN = 5e-324  # the smallest subnormal float
 _P_MAX = 1.0 - 2.0 ** -53  # the largest float below 1
@@ -92,3 +97,26 @@ def test_analytic_commands_end_cleanly(command, sigma, d, mu, p, beta):
 def test_optimize_over_costs_ends_cleanly(sigma, d, mu, p, cost_fn, cost_fp):
     _check_run(["optimize", *_model_flags(sigma, d, mu, p), f"--cost-fn={cost_fn!r}",
                 f"--cost-fp={cost_fp!r}"])
+
+
+@pytest.fixture(scope="module")
+def sample_files(tmp_path_factory):
+    """A 200-row labeled train file and score-only target."""
+    root = tmp_path_factory.mktemp("domain")
+    sample = sample_binormal(BinormalModel(mu=0.0, nu=2.0, sigma=1.0, p=0.25), 200, seed=5)
+    write_labeled_csv(sample, str(root / "train.csv"))
+    write_score_csv(ScoreSample(scores=sample.scores()), str(root / "target.csv"))
+    return str(root / "train.csv"), str(root / "target.csv")
+
+
+# --method cc: a cut set by the flags may lie outside the sample, where the rates are
+# rightly too close for the adjusted count, a data error.
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rule=st.sampled_from(["minimax", "locally-best", "q-optimal"]), sigma=_SIGMAS,
+       d=_SEPARATIONS, mu=_OFFSETS, p=_PRIORS, beta=_log_uniform(-150.0, 150.0))
+# A locally best cut at +inf was once a data error, raised after reading both files.
+@example(rule="locally-best", sigma=1e308, d=3e-308, mu=-3.0, p=1e-10, beta=1.0)
+def test_quantify_rule_ends_cleanly(sample_files, rule, sigma, d, mu, p, beta):
+    betas = [f"--beta={beta!r}"] if rule == "q-optimal" else []
+    _check_run(["quantify", *sample_files, "--rule", rule, "--method", "cc",
+                *_model_flags(sigma, d, mu, p), *betas])

@@ -399,6 +399,24 @@ class TestBlockScan:
             i for i in range(n) if threshold >> i & 1)
 
 
+def _mask_cases():
+    rng = np.random.default_rng(2520)
+    return [pytest.param(random_population(rng, n, tied=tied), id=f"n={n}-{kind}")
+            for n in (2, 5, 14, 15, 20) for tied, kind in ((False, "distinct"), (True, "tied"))]
+
+
+@pytest.mark.parametrize("pop", _mask_cases())
+def test_posterior_cut_masks_at_every_size(pop):
+    """The threshold-set masks and each cut's atoms are the posterior comparisons'
+    on either side of ``_LOW_ATOMS``, at levels equal to an atom's posterior too."""
+    q = pop.posteriors
+    assert pop._threshold_masks.tolist() == TestBlockScan._whole(pop)[2]
+    levels = (0.0, q[0], q[-1], min(q), max(q), float(np.median(q)), 1.0)
+    found = check_population(pop, cost=CostParams(fn_cost=1.0, fp_cost=1.0), cut_levels=levels)
+    for level, report in zip(levels, found.local_bayes, strict=True):
+        assert report.included == frozenset(i for i, qi in enumerate(q) if qi > level)
+
+
 def _pass_cases():
     rng = np.random.default_rng(2718)
     return [pytest.param(random_population(rng, n, tied=tied), id=f"n={n}-{kind}")
