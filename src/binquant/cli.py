@@ -21,30 +21,24 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
-import stat
 import sys
-import threading
 
 import numpy as np
 
 from .binormal import BinormalModel, ModelFieldError, ThresholdClassifier
 from .discrete_oracle import MAX_ATOMS, check_population, random_population
 from .empirical import (
-    LabeledSample,
-    ScoreSample,
-    _flagged_fraction,
     _write_csv,
+    classify_and_count,
     estimate_rates,
     fit_binormal,
-    read_labeled_csv,
-    read_score_csv,
+    quantify_sample,
+    read_train_and_target,
 )
 from .metrics import CostParams, NasVariant, QConfig, _check_beta, prediction_error
 from .quantifiers import (
     DegenerateCostError,
     _q_measures_of_mass,
-    adjusted_count,
     bayes_classifier,
     f_optimal_classifier,
     locally_best_classifier,
@@ -62,12 +56,6 @@ EXIT_VIOLATION = 3
 _NAS_DEFAULT = NasVariant.NAS_STAR.value
 
 _BETAS_HELP = "measure weight, repeatable (default 1 and 2)"
-
-# quantify reads its target in a forked child only from this size on.  The fork costs
-# about 6 ms whatever the size, and on a 2-vCPU host forking and reading in process
-# break even for targets of 256-350 KiB next to a train file of the same length, each
-# file converted whole by numpy (medians of 41-61 alternating pairs per size).
-_FORK_MIN_BYTES = 1 << 18
 
 # The --rule cut-points in order: figure-error column, flags beyond the model's that set
 # the cut, and constructor of (model, QConfig).  Each lambda looks its constructor up at
@@ -144,15 +132,22 @@ def _grid(args: argparse.Namespace) -> int:
     return args.grid
 
 
+def _fmt_float(value: float) -> str:
+    """``value`` as ``:g`` text where that reads back as ``value``, else as its ``repr``."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
+
+
 def _fmt_betas(betas: tuple[float, ...]) -> str:
-    return ",".join(f"{b:g}" for b in betas)
+    return ",".join(map(_fmt_float, betas))
 
 
 def _comment(command: str, model: BinormalModel, betas: tuple[float, ...],
              nas_variant: NasVariant) -> str:
     """Provenance comment of an analytic command's CSV artifact."""
-    return (f"binquant {command} mu={model.mu:g} nu={model.nu:g} sigma={model.sigma:g} "
-            f"p={model.p:g} beta={_fmt_betas(betas)} nas={nas_variant.value}")
+    return (f"binquant {command} mu={_fmt_float(model.mu)} nu={_fmt_float(model.nu)} "
+            f"sigma={_fmt_float(model.sigma)} p={_fmt_float(model.p)} "
+            f"beta={_fmt_betas(betas)} nas={nas_variant.value}")
 
 
 def _cmd_figure_qcurve(args: argparse.Namespace) -> int:
@@ -161,7 +156,7 @@ def _cmd_figure_qcurve(args: argparse.Namespace) -> int:
     u = np.linspace(0.0, 1.0, grid)
     if not np.any(u == model.p):
         u = np.sort(np.append(u, model.p))
-    header = ["u", *(f"q_beta_{beta:g}" for beta in betas)]
+    header = ["u", *(f"q_beta_{_fmt_float(beta)}" for beta in betas)]
     columns = [u, *_q_measures_of_mass(model, u, betas, nas_variant)]
     comment = f"{_comment('figure-qcurve', model, betas, nas_variant)} grid={grid}"
     _write_csv(args.out, comment, header, columns)
@@ -200,7 +195,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
                "f_optimal": lambda b: f_optimal_classifier(model, b)}
     builds = [("minimax", "", minimax_classifier, model),
               ("locally_best", "", locally_best_classifier, model),
-              *((f"{kind}_beta={b:g}", "/--beta", solve, b)
+              *((f"{kind}_beta={_fmt_float(b)}", "/--beta", solve, b)
                 for kind, solve in solvers.items() for b in betas)]
     named = [("bayes", bayes), *((name, _cut(f"{name} row", flags, build, arg))
                                  for name, flags, build, arg in builds)]
@@ -210,7 +205,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     header = ["name", "threshold", "u_star", "tpr", "fpr", "objective"]
     if args.out is not None:
         comment = (f"{_comment('optimize', model, betas, nas_variant)} "
-                   f"cost-fn={args.cost_fn:g} cost-fp={args.cost_fp:g}")
+                   f"cost-fn={_fmt_float(args.cost_fn)} cost-fp={_fmt_float(args.cost_fp)}")
         _write_csv(args.out, comment, header, list(zip(*rows)))
     else:
         print(_table_line(header[0], (f"{h:>14}" for h in header[1:])))
@@ -226,62 +221,6 @@ def _table_line(name: str, cells) -> str:
     for cell in cells:
         line += cell if line[-1] == " " or cell[0] == " " else f" {cell}"
     return line
-
-
-def _read_inputs(train_path: str, target_path: str) -> tuple[LabeledSample, ScoreSample]:
-    """Read the train and target files of ``quantify``: the target in a forked child
-    while this process reads the train file, where the target is a regular file of at
-    least ``_FORK_MIN_BYTES``, the platform can fork and this process runs one thread
-    (forking a threaded process can deadlock).  Otherwise, or when the fork fails, both
-    are read here, one after the other: a smaller file reads faster than a fork costs,
-    and a pipe or FIFO target may be the train file's own stream, where two readers of
-    one stream would split its lines between them.
-
-    Either way the train file's error wins, as in a sequential read.  The child sends
-    back only the sample, through a pipe, and exits non-zero on any failure without
-    writing to stdout or stderr.  On that exit this process reads the target itself, so
-    the same error comes out in file order.
-    """
-    try:
-        info = os.stat(target_path)
-        large = stat.S_ISREG(info.st_mode) and info.st_size >= _FORK_MIN_BYTES
-    except OSError:  # reading the target raises it again, in file order
-        large = False
-    pid = -1  # no child: this process reads both files
-    if large and hasattr(os, "fork") and threading.active_count() == 1:
-        import pickle
-        import signal
-        read_end, write_end = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read_end)
-            os.close(write_end)
-    if pid < 0:
-        return read_labeled_csv(train_path), read_score_csv(target_path)
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_end)
-            sample = read_score_csv(target_path)
-            with open(write_end, "wb") as pipe:
-                pipe.write(pickle.dumps(sample, protocol=pickle.HIGHEST_PROTOCOL))
-            code = 0
-        finally:
-            os._exit(code)  # runs no atexit handler and flushes no inherited buffer
-    os.close(write_end)
-    try:
-        with open(read_end, "rb") as pipe:
-            train = read_labeled_csv(train_path)
-            data = pipe.read()
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        _, status = os.waitpid(pid, 0)
-    if os.waitstatus_to_exitcode(status) != 0:
-        return train, read_score_csv(target_path)
-    return train, pickle.loads(data)
 
 
 def _cmd_quantify(args: argparse.Namespace) -> int:
@@ -308,7 +247,7 @@ def _cmd_quantify(args: argparse.Namespace) -> int:
     elif any(given):
         raise _UsageError("give all of --mu/--nu/--sigma/--p or none (to fit from the train file)")
 
-    train, target = _read_inputs(args.train, args.target)
+    train, target = read_train_and_target(args.train, args.target)
 
     if not any(given) and args.rule is not None:  # a model fitted from the train file
         classifier = rule(fit_binormal(train), config).classifier
@@ -316,11 +255,11 @@ def _cmd_quantify(args: argparse.Namespace) -> int:
     rates = estimate_rates(train, classifier)
     print(f"threshold={classifier.threshold!r}")
     print(f"tpr={rates.tpr!r} fpr={rates.fpr!r} (estimated from {args.train})")
-    cc = _flagged_fraction(target, classifier)
-    # adjusted before the cc line, so that a DegenerateClassifierError prints no cc
-    estimate = adjusted_count(cc, rates) if args.method == "ac" else None
-    print(f"cc={cc!r}")
-    if estimate is not None:
+    if args.method == "cc":
+        print(f"cc={classify_and_count(target, classifier)!r}")
+    else:  # adjusted before the cc line, so that a DegenerateClassifierError prints no cc
+        estimate = quantify_sample(target, classifier, rates)
+        print(f"cc={estimate.cc!r}")
         print(f"ac={estimate.ac!r} ac_clamped={estimate.ac_clamped!r}")
     return EXIT_OK
 

@@ -36,8 +36,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 import re
+import stat
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,12 +57,14 @@ __all__ = [
     "CsvFormatError",
     "sample_binormal",
     "estimate_rates",
+    "classify_and_count",
     "quantify_sample",
     "fit_binormal",
     "read_labeled_csv",
     "write_labeled_csv",
     "read_score_csv",
     "write_score_csv",
+    "read_train_and_target",
 ]
 
 RNG_ALGORITHM = "numpy-pcg64, ndtri inverse-cdf scores"
@@ -184,22 +189,22 @@ def estimate_rates(sample: LabeledSample, classifier: ThresholdClassifier) -> Ra
     return Rates(tpr=tpr, fpr=fpr)
 
 
+def classify_and_count(target: ScoreSample, classifier: ThresholdClassifier) -> float:
+    """Classify & Count: the share of the sample the rule flags positive, where a score
+    equal to the threshold counts as negative, as in ``estimate_rates``."""
+    return float(np.count_nonzero(classifier.predicts_positive(target.scores))) / target.n
+
+
 def quantify_sample(
     target: ScoreSample, classifier: ThresholdClassifier, rates: Rates
 ) -> QuantificationEstimate:
     """Estimate the positive prevalence of an unlabeled sample.
 
-    The raw flagged fraction is the classify-and-count estimate; the
-    supplied rates (empirical or model-exact) drive the count adjustment.
-    Propagates ``DegenerateClassifierError`` when the rates carry no
-    signal.
+    ``classify_and_count`` gives the raw estimate; the supplied rates
+    (empirical or model-exact) drive the count adjustment.  Propagates
+    ``DegenerateClassifierError`` when the rates carry no signal.
     """
-    return adjusted_count(_flagged_fraction(target, classifier), rates)
-
-
-def _flagged_fraction(target: ScoreSample, classifier: ThresholdClassifier) -> float:
-    """Share of the sample the rule flags positive: the classify-and-count estimate."""
-    return float(np.count_nonzero(classifier.predicts_positive(target.scores))) / target.n
+    return adjusted_count(classify_and_count(target, classifier), rates)
 
 
 def fit_binormal(sample: LabeledSample) -> BinormalModel:
@@ -230,6 +235,11 @@ _LABELED_HEADER = "score,label"
 _SCORE_HEADER = "score"
 _CHUNK_CHARS = 1 << 20  # the reader filters and converts about 1 MiB of lines at a time
 _WRITE_ROWS = 1 << 14  # the writer hands its target this many lines per write call
+# read_train_and_target reads its target in a forked child only from this size on.  The
+# fork costs about 6 ms whatever the size, and on a 2-vCPU host forking and reading in
+# process break even for targets of 256-350 KiB next to a train file of the same length,
+# each file converted whole by numpy (medians of 41-61 alternating pairs per size).
+_FORK_MIN_BYTES = 1 << 18
 # Per field: its numpy type in a chunk and on one faulty line (labels as any int64 there,
 # so that 300 fails the value test and not the syntax), the value test and its fault.
 _FIELDS = {"score": ("f8", "f8", np.isfinite, "non-finite score"),
@@ -378,6 +388,63 @@ def read_labeled_csv(path: str) -> LabeledSample:
 def read_score_csv(path: str) -> ScoreSample:
     """Read an unlabeled sample from a ``score`` CSV file."""
     return ScoreSample(scores=_data_rows(path, _SCORE_HEADER)["score"])
+
+
+def read_train_and_target(train_path: str, target_path: str) -> tuple[LabeledSample, ScoreSample]:
+    """Read a labeled train file and an unlabeled target file, as ``read_labeled_csv``
+    and ``read_score_csv`` do: the target in a forked child while this process reads the
+    train file, where the target is a regular file of at least ``_FORK_MIN_BYTES``, the
+    platform can fork and this process runs one thread (forking a threaded process can
+    deadlock).  Otherwise, or when the fork fails, both are read here, one after the
+    other: a smaller file reads faster than a fork costs, and a pipe or FIFO target may
+    be the train file's own stream, where two readers of one stream would split its lines
+    between them.
+
+    Either way the train file's error wins, as in a sequential read.  The child sends
+    back only the sample, through a pipe, and exits non-zero on any failure without
+    writing to stdout or stderr.  On that exit this process reads the target itself, so
+    the same error comes out in file order.
+    """
+    try:
+        info = os.stat(target_path)
+        large = stat.S_ISREG(info.st_mode) and info.st_size >= _FORK_MIN_BYTES
+    except OSError:  # reading the target raises it again, in file order
+        large = False
+    pid = -1  # no child: this process reads both files
+    if large and hasattr(os, "fork") and threading.active_count() == 1:
+        import pickle
+        import signal
+        read_end, write_end = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+    if pid < 0:
+        return read_labeled_csv(train_path), read_score_csv(target_path)
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            sample = read_score_csv(target_path)
+            with open(write_end, "wb") as pipe:
+                pipe.write(pickle.dumps(sample, protocol=pickle.HIGHEST_PROTOCOL))
+            code = 0
+        finally:
+            os._exit(code)  # runs no atexit handler and flushes no inherited buffer
+    os.close(write_end)
+    try:
+        with open(read_end, "rb") as pipe:
+            train = read_labeled_csv(train_path)
+            data = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if os.waitstatus_to_exitcode(status) != 0:
+        return train, read_score_csv(target_path)
+    return train, pickle.loads(data)
 
 
 def write_labeled_csv(sample: LabeledSample, path: str, comment: str | None = None) -> None:

@@ -160,6 +160,28 @@ class TestOptimize:
     def test_zero_cost_is_a_usage_error(self, capsys):
         assert main(["optimize", "--cost-fn", "0", "--cost-fp", "0"]) == EXIT_USAGE
 
+    def test_comment_keeps_every_digit(self, tmp_path):
+        """Six significant digits wrote nu=1e+06 for 1000002 and cost-fp=1 for 1.0000001."""
+        path = tmp_path / "opt.csv"
+        argv = ["optimize", "--mu", "1e6", "--nu", "1000002", "--cost-fp", "1.0000001"]
+        assert main([*argv, "--out", str(path)]) == EXIT_OK
+        assert path.read_text().splitlines()[0] == (
+            "# binquant optimize mu=1e+06 nu=1000002.0 sigma=1 p=0.25 beta=1,2 nas=nas-star "
+            "cost-fn=1 cost-fp=1.0000001")
+
+    def test_close_betas_name_their_own_rows_and_columns(self, tmp_path, capsys):
+        """Six significant digits named both betas 1, in two rows each and two columns."""
+        betas = ["--beta", "1", "--beta", "1.0000001"]
+        assert main(["optimize", *betas]) == EXIT_OK
+        names = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert names[-4:] == ["q_optimal_beta=1", "q_optimal_beta=1.0000001",
+                              "f_optimal_beta=1", "f_optimal_beta=1.0000001"]
+        path = tmp_path / "q.csv"
+        assert main(["figure-qcurve", *betas, "--grid", "2", "--out", str(path)]) == EXIT_OK
+        assert path.read_text().splitlines()[:2] == [
+            "# binquant figure-qcurve mu=0 nu=2 sigma=1 p=0.25 beta=1,1.0000001 nas=nas-star "
+            "grid=2", "u,q_beta_1,q_beta_1.0000001"]
+
 
 class TestQuantify:
     def test_named_rule_recovers_shifted_prior(self, sample_files, capsys):
@@ -372,7 +394,7 @@ class TestConcurrentRead:
 
     def test_small_target_is_read_in_process(self, sample_files, monkeypatch, capfd):
         """A fork costs more than reading a file below the size gate."""
-        assert os.path.getsize(sample_files[1]) < cli._FORK_MIN_BYTES
+        assert os.path.getsize(sample_files[1]) < empirical._FORK_MIN_BYTES
 
         def fork():
             raise AssertionError(f"forked to read a {os.path.getsize(sample_files[1])}-byte file")
@@ -409,7 +431,7 @@ class TestConcurrentRead:
             if os.getpid() != parent:
                 os._exit(1)
             return read_score_csv(path)
-        monkeypatch.setattr(cli, "read_score_csv", read_score_csv_or_die)
+        monkeypatch.setattr(empirical, "read_score_csv", read_score_csv_or_die)
         assert main(["quantify", *large_files, "--threshold", "1.0"]) == EXIT_OK
         assert capfd.readouterr() == (self._expected(*large_files), "")
 
@@ -682,6 +704,7 @@ class TestCsvWriter:
 
 # sha256 of the analytic artifacts, recorded with numpy 2.4 and scipy 1.17 on x86-64
 # before the CSV writer took columns; figure-qcurve's stdout has its file's digest.
+# offset-1e6's were recorded again when its comment came to read nu=1000002.0, not 1e+06.
 GOLDEN_MODELS = {
     "readme-default": ["--mu", "0", "--nu", "2", "--sigma", "1", "--p", "0.25"],
     "tiny-sigma": ["--mu", "0", "--nu", "2e-9", "--sigma", "1e-9", "--p", "0.25"],
@@ -704,14 +727,49 @@ GOLDEN_SHA256 = {
         "figure-error": "9604b952356380b4795939544534aae165fc749a31c6f9aba816d2b0356303e3",
     },
     "offset-1e6": {
-        "optimize": "aba16b5fdd83c4c615cca6b92751c27f8c510e3ec8cbd78160d80f17bc7c2407",
-        "figure-qcurve": "d1d7ff59c44006f420ab2fea2f3f0ecc2e23426167708b2fca2e0be3bd4f1dae",
-        "figure-error": "d8dd4b9c2df3d58cec5f0ce922430031471d869cbf1116e328e90338367f7066",
+        "optimize": "d7656c55d5b84f1bf6f18b5c4f09f2fff9287c6c5d27f958fd06b3864258989d",
+        "figure-qcurve": "937ade7a3468e1d517acd214219fa69558b39dd3f03f29f5b9d0aee66c85aa2d",
+        "figure-error": "0ba491027c34670a49e00bddb6dd0d422c869f83de894c46610bc32837c957db",
     },
     "p-above-half-nas": {
         "optimize": "6c1b325ca39ad75881382b07ddd953783f14708d99f8a8fb676d8df36f825417",
         "figure-qcurve": "5a5d0c776511961eb5bc1f4df206d2aebf7ba762e85032d64625d4bfcf597bf0",
         "figure-error": "d4e47ed2e23ada66586c542e6f4c9b931a06fcc3d3bce9ab23758dabef1fdce2",
+    },
+}
+
+
+# sha256 of quantify's stdout with the train path replaced by "TRAIN", recorded with numpy
+# 2.4 and scipy 1.17 on x86-64.  sample_files are read in process, large_files through the
+# forked target read.
+GOLDEN_QUANTIFY_SHA256 = {
+    "sample_files": {
+        "--threshold 1.0":
+            "edd897f15dbdd9961e9090876af038febecd03a56fdcfd9f757d6b725d1f4f8f",
+        "--threshold 1.0 --method cc":
+            "e028ee13b059e9a480374491af327a3ffac71070c81363b5f984a57836e22b69",
+        "--rule locally-best":
+            "88fc7149261c88edde201d8b8ae41b0c184d9a0b8af2ebd178399f57a5267669",
+        "--rule minimax":
+            "c97aad8db6947eba5aa91e73a05086e8356061e855eaacb45b49d9eda16564bf",
+        "--rule q-optimal --beta 2 --nas nas":
+            "88fc7149261c88edde201d8b8ae41b0c184d9a0b8af2ebd178399f57a5267669",
+        "--rule locally-best --mu 0 --nu 2 --sigma 1 --p 0.25":
+            "eedcffae1940e2ade30690e012e24731a9919d031047fc96db15fe2b4c1bb17a",
+    },
+    "large_files": {
+        "--threshold 1.0":
+            "e2acbb1dfec5d0740720307a16a6a58863a714cc2d063fa0017a606b2d76bd43",
+        "--threshold 1.0 --method cc":
+            "6e2f2580ab15a6bd58e2a87062e9ac0437d9aa85322af2b1d6f3d2c70cecc387",
+        "--rule locally-best":
+            "85db9a1c4ac70c8f029c527f84f7c851d04f67c5478deea5b5a2c1ec7321e082",
+        "--rule minimax":
+            "4563f95cb3673b04785761ceb9a66e7f9c34d6d178b80cd474f0c6d6f38f8abe",
+        "--rule q-optimal --beta 2 --nas nas":
+            "85db9a1c4ac70c8f029c527f84f7c851d04f67c5478deea5b5a2c1ec7321e082",
+        "--rule locally-best --mu 0 --nu 2 --sigma 1 --p 0.25":
+            "ba9657edcf6daf61e6058e642ed270ff6bb0400e4c1db78d9cd7616cdffdf144",
     },
 }
 
@@ -749,6 +807,16 @@ class TestGoldenOutput:
     def test_oracle_stdout_matches_recorded_digest(self, flags, digest, capsys):
         assert main(["oracle", *flags.split()]) == EXIT_OK
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("files, flags", [(files, flags)
+                                              for files, runs in GOLDEN_QUANTIFY_SHA256.items()
+                                              for flags in runs])
+    def test_quantify_stdout_matches_recorded_digest(self, files, flags, request, capsys):
+        train, target = request.getfixturevalue(files)
+        assert main(["quantify", train, target, *flags.split()]) == EXIT_OK
+        stdout = capsys.readouterr().out.replace(train, "TRAIN").encode()
+        digest = hashlib.sha256(stdout).hexdigest()
+        assert digest == GOLDEN_QUANTIFY_SHA256[files][flags], digest
 
 
 class TestFileErrors:

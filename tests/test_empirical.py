@@ -27,11 +27,13 @@ from binquant.empirical import (
     CsvFormatError,
     LabeledSample,
     ScoreSample,
+    classify_and_count,
     estimate_rates,
     fit_binormal,
     quantify_sample,
     read_labeled_csv,
     read_score_csv,
+    read_train_and_target,
     sample_binormal,
     write_labeled_csv,
     write_score_csv,
@@ -180,6 +182,92 @@ class TestQuantifySample:
         target = ScoreSample(scores=(0.5, 1.5))
         with pytest.raises(DegenerateClassifierError):
             quantify_sample(target, ThresholdClassifier(1.0), Rates(tpr=0.3, fpr=0.3))
+
+
+class TestClassifyAndCount:
+    @pytest.mark.parametrize("threshold", [-1.0, 0.5, 1.0, 3.0])
+    def test_is_the_cc_of_quantify_sample(self, threshold):
+        target = ScoreSample(scores=sample_binormal(DEFAULT_MODEL, 1000, seed=8).scores())
+        classifier = ThresholdClassifier(threshold)
+        rates = classifier_rates(DEFAULT_MODEL, classifier)
+        cc = classify_and_count(target, classifier)
+        assert np.float64(cc).view(np.uint64) == np.float64(
+            quantify_sample(target, classifier, rates).cc).view(np.uint64)
+
+    def test_is_a_strict_recount(self):
+        """A score equal to the threshold counts as negative."""
+        scores = np.repeat(sample_binormal(DEFAULT_MODEL, 333, seed=9).scores(), 3)
+        target = ScoreSample(scores=scores)
+        for threshold in (scores[0], scores[1], 1.0):
+            expected = np.count_nonzero(scores > threshold) / scores.size
+            assert classify_and_count(target, ThresholdClassifier(threshold)) == expected
+        assert classify_and_count(target, ThresholdClassifier(scores.max())) == 0.0
+
+
+@pytest.fixture(scope="module")
+def paired_files(tmp_path_factory):
+    """Train and target files of 500 and 20,000 rows: the first target is below
+    ``_FORK_MIN_BYTES`` and read in process, the second is read in a forked child."""
+    root = tmp_path_factory.mktemp("pairs")
+    pairs = {}
+    for kind, n in (("in-process", 500), ("forked", 20_000)):
+        train = sample_binormal(DEFAULT_MODEL, n, seed=31)
+        target = sample_binormal(BinormalModel(mu=0.0, nu=2.0, sigma=1.0, p=0.6), n, seed=32)
+        pairs[kind] = str(root / f"{kind}-train.csv"), str(root / f"{kind}-target.csv")
+        write_labeled_csv(train, pairs[kind][0])
+        write_score_csv(ScoreSample(scores=target.scores()), pairs[kind][1])
+    sizes = [os.path.getsize(pairs[kind][1]) for kind in ("in-process", "forked")]
+    assert sizes[0] < empirical._FORK_MIN_BYTES <= sizes[1]
+    return pairs
+
+
+class TestReadTrainAndTarget:
+    """``read_train_and_target`` gives what ``read_labeled_csv`` and then
+    ``read_score_csv`` give, values and errors, and leaves no child behind."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("kind, forks", [("in-process", 0), ("forked", 1)])
+    def test_matches_a_sequential_read_bit_for_bit(self, paired_files, kind, forks, monkeypatch):
+        pids = []
+        real_fork = os.fork
+
+        def counted_fork():
+            pids.append(pid := real_fork())
+            return pid
+        monkeypatch.setattr(os, "fork", counted_fork)
+        train_path, target_path = paired_files[kind]
+        train, target = read_train_and_target(train_path, target_path)
+        assert len(pids) == forks
+        expected_train, expected_target = read_labeled_csv(train_path), read_score_csv(target_path)
+        assert np.array_equal(train.scores().view(np.uint64),
+                              expected_train.scores().view(np.uint64))
+        assert np.array_equal(train.labels(), expected_train.labels())
+        assert np.array_equal(target.scores.view(np.uint64),
+                              expected_target.scores.view(np.uint64))
+
+    @pytest.mark.parametrize("kind", ["in-process", "forked"])
+    @pytest.mark.parametrize("train_first", [True, False])
+    def test_train_error_wins_when_both_files_are_faulty(self, paired_files, kind, train_first,
+                                                         tmp_path):
+        """Whether the train fault is on its second line or its last, and the target's on
+        its last or its second, the train file's error is raised."""
+        faulty = []
+        for path, text, early in zip(paired_files[kind], ("1.0,7", "abc"),
+                                     (train_first, not train_first)):
+            lines = Path(path).read_text().splitlines()
+            line = 2 if early else len(lines)
+            lines[line - 1] = text
+            faulty.append((str(tmp_path / Path(path).name), line))
+            Path(faulty[-1][0]).write_text("\n".join(lines) + "\n")
+        (train, line), (target, _) = faulty
+        with pytest.raises(CsvFormatError) as caught:
+            read_train_and_target(train, target)
+        assert str(caught.value) == f"{train}:{line}: label must be -1 or 1, got '7'"
 
 
 class TestFitBinormal:
