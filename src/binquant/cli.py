@@ -208,19 +208,13 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
                    f"cost-fn={_fmt_float(args.cost_fn)} cost-fp={_fmt_float(args.cost_fp)}")
         _write_csv(args.out, comment, header, list(zip(*rows)))
     else:
-        print(_table_line(header[0], (f"{h:>14}" for h in header[1:])))
-        for name, *values in rows:
-            print(_table_line(name, (f"{v:>14.6f}" for v in values)))
+        # Each column is one space wider than its widest cell: 22 at least for names, 14 for numbers.
+        lines = [header, *([name, *(f"{v:.6f}" for v in values)] for name, *values in rows)]
+        widths = [max(22 if j == 0 else 14, 1 + max(map(len, column)))
+                  for j, column in enumerate(zip(*lines))]
+        for name, *cells in lines:
+            print(f"{name:<{widths[0]}}" + "".join(map(str.rjust, cells, widths[1:])))
     return EXIT_OK
-
-
-def _table_line(name: str, cells) -> str:
-    """A row of the optimize table: the name padded to 22 characters, then the cells,
-    each led by one space where it would otherwise touch the text before it."""
-    line = f"{name:<22}"
-    for cell in cells:
-        line += cell if line[-1] == " " or cell[0] == " " else f" {cell}"
-    return line
 
 
 def _cmd_quantify(args: argparse.Namespace) -> int:

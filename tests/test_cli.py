@@ -7,6 +7,7 @@ directories.  Determinism assertions compare bytes, not parsed values.
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -580,19 +581,34 @@ f_optimal_beta=2            0.721919      0.401227      0.899390      0.235172  
 
 
 class TestOptimizeReadmeExample:
+    @staticmethod
+    def _cells_end_under_their_headers(lines):
+        ends = [[m.end() for m in re.finditer(r"\S+", line)][1:] for line in lines]
+        return all(row == ends[0] for row in ends)
+
     def test_stdout_matches_readme_table(self, capsys):
         assert main(["optimize"]) == EXIT_OK
         assert capsys.readouterr().out == README_OPTIMIZE_TABLE
 
     def test_long_cells_stay_apart(self, capsys):
-        """A 22-character name and a 15-character threshold once ran together."""
+        """A 22-character name and a 15-character threshold once ran together; each
+        column now ends where its header ends."""
         assert main(["optimize", "--mu=-1e7", "--nu=-9999998", "--beta", "1.5e-15"]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
-        assert lines[4] == ("q_optimal_beta=1.5e-15 -10000005.950903      1.000000      "
+        assert lines[4] == ("q_optimal_beta=1.5e-15  -10000005.950903      1.000000      "
                             "1.000000      1.000000      1.000000")
-        assert lines[3] == ("locally_best          -9999998.640427      0.250000      "
+        assert lines[3] == ("locally_best             -9999998.640427      0.250000      "
                             "0.739052      0.086983      0.260948")
         assert all(len(line.split()) == 6 for line in lines)
+        assert self._cells_end_under_their_headers(lines)
+
+    def test_long_names_line_up(self, capsys):
+        """A name past 22 characters widens the name column instead of pushing its row."""
+        assert main(["optimize", "--beta", "1", "--beta", "1.0000001"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[5] == ("q_optimal_beta=1.0000001       1.059664      0.315106      "
+                            "0.826477      0.144649      0.867674")
+        assert self._cells_end_under_their_headers(lines)
 
     @pytest.mark.parametrize("flag", ["--cost-fn", "--cost-fp"])
     @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -7,6 +7,7 @@ were first written and are frozen to keep the equality / strict-gap cases
 pinned down.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -399,6 +400,24 @@ class TestBlockScan:
             i for i in range(n) if threshold >> i & 1)
 
 
+def _slice_cases():
+    rng = np.random.default_rng(1517)
+    return [pytest.param(random_population(rng, n, tied=tied), id=f"n={n}-{kind}")
+            for n in (15, 17, 20) for tied, kind in ((False, "distinct"), (True, "tied"))]
+
+
+@pytest.mark.parametrize("pop", _slice_cases())
+def test_slices_have_the_bits_of_subset_masses(pop):
+    """Each start comes once, and each slice, read before the next is asked for,
+    has the bits of its run of ``subset_masses``."""
+    starts = []
+    for start, *masses in _slices(pop):
+        starts.append(start)
+        for part, whole in zip(masses, pop.subset_masses, strict=True):
+            assert part.tobytes() == whole[start:start + _BLOCK].tobytes()
+    assert sorted(starts) == list(range(0, 1 << pop.n_atoms, _BLOCK))
+
+
 def _mask_cases():
     rng = np.random.default_rng(2520)
     return [pytest.param(random_population(rng, n, tied=tied), id=f"n={n}-{kind}")
@@ -454,3 +473,28 @@ class TestOnePass:
         report = minimax_comparison(pop)
         assert report.brute_value == worst.min() == 8 / 158
         assert report.brute_classifier.included == frozenset({16})
+
+
+# sha256 of the reprs of check_population's results on the seed-2027 populations,
+# n = 2..20, distinct then tied, recorded with numpy 2.4 and scipy 1.17 on x86-64.
+ORACLE_RESULTS_SHA256 = "1af53f4bf6d677e180614b8fed1ea2e8b3fcc080e37c36dd949c55e093f99b32"
+
+
+def test_oracle_results_match_recorded_digest():
+    """Every value, verdict and chosen subset of the one-pass checks keeps its bits.
+    Another numpy or scipy release may move a last digit, so the digest is
+    compared only under the releases that recorded it."""
+    import scipy
+    releases = tuple(".".join(v.split(".")[:2]) for v in (np.__version__, scipy.__version__))
+    if releases != ("2.4", "1.17"):
+        pytest.skip(f"digest recorded with numpy 2.4 and scipy 1.17, not {releases}")
+    cost = CostParams(0.7, 1.3)
+    ratio = cost.posterior_cutoff
+    digest = hashlib.sha256()
+    for n in range(2, MAX_ATOMS + 1):
+        for tied in (False, True):
+            pop = random_population(np.random.default_rng(2027), n, tied)
+            found = check_population(pop, (0.5, 1.0, 2.0), cost,
+                                     (ratio / 2, ratio, (1 + ratio) / 2), minimax=True)
+            digest.update(repr(found).encode())
+    assert digest.hexdigest() == ORACLE_RESULTS_SHA256

@@ -36,8 +36,13 @@ from hypothesis import strategies as st
 from scipy import optimize, special
 
 from binquant.binormal import BinormalModel, classifier_rates, posterior
+from binquant.discrete_oracle import DiscretePopulation, check_population, minimax_comparison
 from binquant.metrics import NasVariant, QConfig, nas, nas_star
-from binquant.quantifiers import f_optimal_classifier, q_optimal_classifier
+from binquant.quantifiers import (
+    f_optimal_classifier,
+    minimax_classifier,
+    q_optimal_classifier,
+)
 
 mp.mp.dps = 40
 
@@ -243,3 +248,40 @@ def test_bayes_row_cost_is_exact_for_its_rates(tmp_path, model):
     assert tpr > 0.995
     exact = 4 * mp.mpf(p) * (1 - mp.mpf(tpr)) + mp.mpf(0.5) * (1 - mp.mpf(p)) * mp.mpf(fpr)
     assert abs(mp.mpf(cost) - exact) <= 2 * np.spacing(float(exact))
+
+
+def _interval_population(d, p, cut, width):
+    """Twenty atoms of the standardized model (d, p): the z axis cut at edges
+    cut + k width, k = -9..9, with 40-digit class masses on each interval.
+    Atoms 10..19 lie above ``cut``."""
+    edges = [-mp.inf, *(mp.mpf(cut) + k * mp.mpf(width) for k in range(-9, 10)), mp.inf]
+    return DiscretePopulation(atoms=tuple(
+        (float(p * (mp.ncdf(b - d) - mp.ncdf(a - d))), float((1 - p) * (mp.ncdf(b) - mp.ncdf(a))))
+        for a, b in zip(edges, edges[1:])))
+
+
+@pytest.mark.parametrize("width", [0.5, 0.05])
+class TestOracleChecksBinormalOptimizers:
+    """The paper's two halves check each other.  A set of intervals of the score
+    axis is a classifier of the binormal model, so over the atoms of a grid with
+    an edge at an optimizer's cut, the oracle's best subset must be the upper
+    set at that cut, atoms 10..19, and its F value is F at the cut within 2 ulp."""
+
+    @pytest.mark.parametrize("d, p, beta", [(2.0, 0.25, 1.0), (2.0, 0.25, 2.0),
+                                            (1.0, 0.7, 0.5), (4.0, 0.05, 1.0)])
+    def test_no_subset_beats_the_f_optimal_cut(self, d, p, beta, width):
+        model = BinormalModel(mu=0.0, nu=d, sigma=1.0, p=p)
+        opt = f_optimal_classifier(model, beta)
+        found = check_population(_interval_population(d, p, opt.classifier.threshold, width),
+                                 betas=(beta,))
+        (best, value), = found.fbeta
+        assert best.included == frozenset(range(10, 20))
+        assert abs(value - opt.objective_value) <= 2 * np.spacing(opt.objective_value)
+        assert found.failed == ()
+
+    @pytest.mark.parametrize("d, p", [(2.0, 0.25), (1.0, 0.7), (4.0, 0.05)])
+    def test_no_subset_beats_the_minimax_cut(self, d, p, width):
+        cut = minimax_classifier(BinormalModel(mu=0.0, nu=d, sigma=1.0, p=p)).classifier.threshold
+        report = minimax_comparison(_interval_population(d, p, cut, width))
+        assert report.brute_classifier.included == frozenset(range(10, 20))
+        assert report.equal
