@@ -23,7 +23,6 @@ matching shape; everything else is scalar.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -56,11 +55,6 @@ _EXP_CLAMP = 700.0
 _NEWTON_TOL = 1e-12
 _ULPS = 4.0 * np.finfo(float).eps
 _MAX_NEWTON_STEPS = 100
-
-
-# Open-interval guard for predicted-positive masses: thresholds exist only
-# for masses strictly inside (0, 1).
-_MASS_EDGE = 1e-9
 
 
 # ``scipy.special.ndtr`` and ``ndtri``, imported on first use: runs that never evaluate
@@ -156,27 +150,14 @@ class BinormalModel:
         """Inverse of ``z_score``: mu + sigma * z."""
         return self.mu + self.sigma * z
 
-    # The two anchor cut-points of the optimizers, each solved at most once per model
-    # and kept on it: a frozen dataclass still has the __dict__ that cached_property
-    # writes to.
-
-    @functools.cached_property
-    def _z_at_prior_mass(self) -> float:
-        """z-score of the cut-point flagging mass p: the locally best cut-point and
-        the kink of the Q search."""
-        return float(_z_at_upper_mass(self, self.p))
-
-    @functools.cached_property
-    def _z_at_far_mass(self) -> float:
-        """z-score of the cut-point flagging mass 1 - _MASS_EDGE, or (p + 1) / 2 where
-        p is not below that: the far end of the Q search.  Where that midpoint rounds
-        to 1, no mass lies strictly between p and 1, and the far end is the kink."""
-        far = 1.0 - _MASS_EDGE
-        if far <= self.p:
-            far = 0.5 * (self.p + 1.0)
-            if far >= 1.0:
-                return self._z_at_prior_mass
-        return float(_z_at_upper_mass(self, far))
+    def _z_at_kept_mass(self, v: float) -> float:
+        """``_z_at_upper_mass`` at the mass v as a float, solved at most once per model
+        and kept in a table on it: a frozen dataclass still has a ``__dict__``.  Equal
+        models built apart each keep their own table."""
+        kept = self.__dict__.setdefault("_kept_z", {})
+        if v not in kept:
+            kept[v] = float(_z_at_upper_mass(self, v))
+        return kept[v]
 
 
 @dataclass(frozen=True)

@@ -318,10 +318,13 @@ def check_population(
     the brute-force minimax level.  Each slice is reduced for every check
     while it is in cache, sharing ``pos + neg`` and one cost array.  Each
     check reduces the slice on its own, so each result equals that of its
-    public function, which is this pass asked for that check alone.
+    public function, which is this pass asked for that check alone.  Cut
+    levels without a cost raise ``ValueError``.
     """
     b2s = [_check_beta(beta) for beta in betas]
     _check_probability(cut_levels, "cut level")
+    if cut_levels and cost is None:
+        raise ValueError("cut levels need a cost")
     prevalence, n = population.prevalence, population.n_atoms
 
     # Each cut H = {posterior > level} with predicted mass m is compared against

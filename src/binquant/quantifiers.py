@@ -72,6 +72,10 @@ __all__ = [
 # non-invertible.
 _RATE_GAP_MIN = 1e-12
 
+# The Q search ends at mass 1 - _MASS_EDGE: the all-positive rule u = 1 has no
+# finite cut-point.
+_MASS_EDGE = 1e-9
+
 
 class DegenerateCostError(ValueError):
     """A zero cost makes a constant classifier optimal; no finite cut-point exists.
@@ -197,7 +201,7 @@ def locally_best_classifier(model: BinormalModel) -> OptimizedClassifier:
     its count-based prevalence prediction is exact when the deployment
     prior equals the training prior.  ``objective_value`` is max(fpr, fnr).
     """
-    classifier = ThresholdClassifier(float(model.score(model._z_at_prior_mass)))
+    classifier = ThresholdClassifier(float(model.score(model._z_at_kept_mass(model.p))))
     return _optimized(model, classifier, error_bound)
 
 
@@ -261,7 +265,8 @@ def q_optimal_classifier(model: BinormalModel, config: QConfig) -> OptimizedClas
     classifier does not under-predict the training prior; the measure
     cannot do better below p.  The all-positive rule u = 1 has no finite
     cut-point, so when Q still rises at u = 1 - 1e-9 (possible only for
-    ``nas`` with p > 1/2) that end cut is returned.
+    ``nas`` with p > 1/2) that end cut is returned.  Where p is not below
+    1 - 1e-9 the far end is (p + 1) / 2, or the kink where that rounds to 1.
 
     On u >= p the calibration score is nas = 1 - (u - p) / c, with
     c = 1 - p for ``nas_star`` and c = max(p, 1 - p) for ``nas``, and
@@ -289,10 +294,11 @@ def q_optimal_classifier(model: BinormalModel, config: QConfig) -> OptimizedClas
         log_posterior = -float(np.logaddexp(0.0, -(logit_p + _log_ratio_in_z(d, z))))
         return log_posterior + 2.0 * (math.log(c_nas) - math.log(_tpr_in_z(d, z))) - log_offset
 
-    z_kink = model._z_at_prior_mass
+    far = 1.0 - _MASS_EDGE if p < 1.0 - _MASS_EDGE else 0.5 * (p + 1.0)
+    z_kink = model._z_at_kept_mass(p)
     if rises(z_kink) <= 0.0:
         z = z_kink
-    elif rises(z_end := model._z_at_far_mass) >= 0.0:
+    elif rises(z_end := model._z_at_kept_mass(far if far < 1.0 else p)) >= 0.0:
         z = z_end
     else:
         # rises() is negative at z_end and positive at z_kink; u falls as z grows.

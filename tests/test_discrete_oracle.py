@@ -202,6 +202,10 @@ class TestLocalBayes:
         with pytest.raises(ValueError):
             local_bayes_check(POP_MINIMAX_EQUAL, CostParams(1.0, 1.0), 1.5)
 
+    def test_cut_levels_need_a_cost(self):
+        with pytest.raises(ValueError, match="cut levels need a cost"):
+            check_population(POP_MINIMAX_EQUAL, cut_levels=(0.3,))
+
 
 class TestMinimaxComparison:
     def test_equality_instance(self):

@@ -36,9 +36,11 @@ from hypothesis import strategies as st
 from scipy import optimize, special
 
 from binquant.binormal import BinormalModel, classifier_rates, posterior
-from binquant.discrete_oracle import DiscretePopulation, check_population, minimax_comparison
-from binquant.metrics import NasVariant, QConfig, nas, nas_star
+from binquant.discrete_oracle import (DiscretePopulation, check_population, local_bayes_check,
+                                      minimax_comparison)
+from binquant.metrics import CostParams, NasVariant, QConfig, nas, nas_star
 from binquant.quantifiers import (
+    bayes_classifier,
     f_optimal_classifier,
     minimax_classifier,
     q_optimal_classifier,
@@ -285,3 +287,40 @@ class TestOracleChecksBinormalOptimizers:
         report = minimax_comparison(_interval_population(d, p, cut, width))
         assert report.brute_classifier.included == frozenset(range(10, 20))
         assert report.equal
+
+
+@pytest.mark.parametrize("width", [0.5, 0.05])
+@pytest.mark.parametrize("d, p", [(2.0, 0.25), (1.0, 0.7), (4.0, 0.05)])
+class TestOracleChecksTheBayesCut:
+    """Over the atoms of a grid with its middle edge at the Bayes cut, the oracle's
+    posterior cut at the cost ratio is the upper set at that cut, atoms 10..19, and
+    no subset costs less."""
+
+    @pytest.mark.parametrize("fn, fp", [(1.0, 1.0), (4.0, 0.5), (0.3, 2.0)])
+    def test_no_subset_beats_the_bayes_cut(self, d, p, fn, fp, width):
+        cost = CostParams(fn, fp)
+        opt = bayes_classifier(BinormalModel(mu=0.0, nu=d, sigma=1.0, p=p), cost)
+        pop = _interval_population(d, p, opt.classifier.threshold, width)
+        report = local_bayes_check(pop, cost, cost.posterior_cutoff)
+        assert report.constraint == "all"
+        assert report.included == frozenset(range(10, 20)) and report.holds
+        assert report.best_cost == report.cut_cost
+        # The oracle's prevalence, pos and neg each sum at most 20 atom masses, each
+        # rounded once from 40 digits and added with at most 19 more roundings, so
+        # each lies within 39 u < 20 eps of its exact sum, and the cut cost
+        # fn (prevalence - pos) + fp neg within 20 eps (fn (prevalence + pos) + fp neg).
+        # Allow 8 eps of the cost for its own few roundings and for the row's cost,
+        # which rounds ndtr and its two cells.
+        eps = np.finfo(float).eps
+        pos = sum(pop.atoms[i][0] for i in range(10, 20))
+        neg = sum(pop.atoms[i][1] for i in range(10, 20))
+        slack = 20 * eps * (fn * (pop.prevalence + pos) + fp * neg) + 8 * eps * report.cut_cost
+        assert abs(report.cut_cost - opt.objective_value) <= slack
+
+    def test_a_grid_off_the_cut_moves_the_cut_set(self, d, p, width):
+        """With the grid moved up by 1.2 widths, atom 9 lies above the cut too."""
+        cost = CostParams(1.0, 1.0)
+        cut = bayes_classifier(BinormalModel(mu=0.0, nu=d, sigma=1.0, p=p), cost).classifier.threshold
+        report = local_bayes_check(_interval_population(d, p, cut + 1.2 * width, width), cost,
+                                   cost.posterior_cutoff)
+        assert min(report.included) == 9 and report.holds
